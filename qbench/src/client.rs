@@ -97,14 +97,7 @@ impl Conn {
 
     /// Client → server through the codec.
     fn send(&self, frame: Frame, rec: &mut JobRecord) -> Result<(), String> {
-        let t = self.traced.then(Instant::now);
-        let line = frame.encode();
-        let parsed = Frame::parse(line.trim_end_matches('\n')).map_err(|e| e.to_string())?;
-        if let Some(t) = t {
-            rec.codec_ns += t.elapsed().as_nanos() as u64;
-        }
-        rec.frames += 1;
-        rec.wire_bytes += line.len() as u64;
+        let parsed = self.through_codec(&frame, rec)?;
         self.handle.handle_frame(parsed, &self.tx);
         Ok(())
     }
@@ -115,6 +108,12 @@ impl Conn {
             .rx
             .recv_timeout(FRAME_TIMEOUT)
             .map_err(|_| "no frame from the server within the timeout".to_string())?;
+        self.through_codec(&frame, rec)
+    }
+
+    /// Encodes `frame` to its wire line and parses it back, counting the
+    /// frame and its bytes (and, when traced, the codec time) on `rec`.
+    fn through_codec(&self, frame: &Frame, rec: &mut JobRecord) -> Result<Frame, String> {
         let t = self.traced.then(Instant::now);
         let line = frame.encode();
         let parsed = Frame::parse(line.trim_end_matches('\n')).map_err(|e| e.to_string())?;

@@ -173,11 +173,17 @@ fn set_up(wl: &Workload, k: usize) -> Result<(Server, PathBuf), String> {
     Ok((server, journal))
 }
 
+/// A per-workload, per-seed file in the work directory that later runs
+/// read back.
+fn ledger(args: &Args, kind: &str, ext: &str) -> PathBuf {
+    PathBuf::from(WORK_DIR).join(format!("{kind}-{}-{}.{ext}", args.workload, args.seed))
+}
+
 /// Compares this run's final costs with the previous run of the same
 /// workload and seed in this directory (when its inputs hashed the
 /// same), then records them.
 fn determinism_canary(args: &Args, input_hash: u64, finals: &[(usize, f64)]) -> String {
-    let path = PathBuf::from(WORK_DIR).join(format!("canary-{}-{}.txt", args.workload, args.seed));
+    let path = ledger(args, "canary", "txt");
     let header = format!("inputs {input_hash:016x}");
     let text = std::fs::read_to_string(&path).unwrap_or_default();
     let mut lines = text.lines();
@@ -251,7 +257,7 @@ fn write_job_table(args: &Args, wl: &Workload, records: &[client::JobRecord]) {
             r.latency_s * 1e3
         ));
     }
-    let path = PathBuf::from(WORK_DIR).join(format!("jobs-{}-{}.tsv", args.workload, args.seed));
+    let path = ledger(args, "jobs", "tsv");
     let _ = std::fs::write(path, out);
 }
 
@@ -259,8 +265,7 @@ fn write_job_table(args: &Args, wl: &Workload, records: &[client::JobRecord]) {
 /// `jobs_per_s`, and a traced run of the same workload and seed compares
 /// against it.
 fn tracing_overhead(args: &Args, jobs_per_s: f64) -> Option<String> {
-    let path =
-        PathBuf::from(WORK_DIR).join(format!("jobs_per_s-{}-{}.txt", args.workload, args.seed));
+    let path = ledger(args, "jobs_per_s", "txt");
     if !args.trace {
         let _ = std::fs::write(path, jobs_per_s.to_string());
         return None;
