@@ -1,15 +1,15 @@
 //! The correctness gate, run on every job after the timed window.
 //!
 //! A job passes when it finished without error or cancellation, its
-//! reported ε is within its budget, the circuit rebuilt from its
-//! SNAPSHOT/DELTA stream equals the DONE circuit, its improvement
-//! stream strictly decreases in cost down to the DONE cost, and the
-//! DONE circuit is equivalent to the input (`qsim::check_equivalence`).
+//! improvement stream strictly decreased in cost down to the DONE cost
+//! (the client checks that as the frames arrive), its reported ε is
+//! within its budget, the circuit rebuilt from its SNAPSHOT/DELTA
+//! transcript equals the DONE circuit, and the DONE circuit is
+//! equivalent to the input (`qsim::check_equivalence`).
 
-use crate::client::JobRecord;
-use crate::stats::{fnv1a, FNV_SEED};
+use crate::client::{JobRecord, Transcripts};
 use crate::workload::{Job, JOB_EPS};
-use qcir::{qasm, Circuit, CircuitDelta};
+use qcir::{qasm, CircuitDelta};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,25 +25,12 @@ pub struct Verdict {
     pub failures: Vec<Option<String>>,
     /// Largest equivalence distance measured.
     pub max_distance: f64,
-    /// Distinct (input, output) pairs checked for equivalence.
+    /// Distinct transcripts checked for stream replay and equivalence.
     pub equiv_checks: usize,
 }
 
-fn rebuild(rec: &JobRecord) -> Result<Circuit, String> {
-    if let Some(c) = &rec.rebuilt {
-        return Ok(c.clone());
-    }
-    let mut c = qasm::from_qasm(&rec.base_qasm).map_err(|e| format!("snapshot qasm: {e}"))?;
-    for d in &rec.deltas {
-        CircuitDelta::decode(d)
-            .and_then(|d| d.apply(&mut c))
-            .map_err(|e| format!("delta replay: {e}"))?;
-    }
-    Ok(c)
-}
-
-/// Everything but the equivalence check; returns the DONE circuit.
-fn check_stream(rec: &JobRecord) -> Result<Circuit, String> {
+/// The per-record checks; returns the record's transcript id.
+fn check_record(rec: &JobRecord) -> Result<usize, String> {
     if let Some(e) = &rec.error {
         return Err(e.clone());
     }
@@ -54,76 +41,72 @@ fn check_stream(rec: &JobRecord) -> Result<Circuit, String> {
     if done.epsilon.is_nan() || done.epsilon > JOB_EPS {
         return Err(format!("ε {} exceeds the job's {JOB_EPS}", done.epsilon));
     }
-    if rec.points.windows(2).any(|w| w[1].1 >= w[0].1) {
-        return Err("improvement stream is not strictly decreasing".into());
-    }
-    let streamed = rec.points.last().map(|p| p.1).ok_or("no SNAPSHOT")?;
-    if streamed != done.cost {
-        return Err(format!(
-            "stream ends at cost {streamed}, DONE says {}",
-            done.cost
-        ));
-    }
-    let out = qasm::from_qasm(&done.qasm).map_err(|e| format!("DONE qasm: {e}"))?;
-    if rebuild(rec)? != out {
-        return Err("circuit rebuilt from the stream differs from the DONE circuit".into());
-    }
-    Ok(out)
+    rec.transcript.ok_or_else(|| "no transcript".into())
 }
 
-/// Checks every record against its job, on `threads` threads.
-pub fn check(jobs: &[Job], records: &[JobRecord], threads: usize) -> Verdict {
+/// Replays a transcript and checks its DONE circuit against the input;
+/// returns the equivalence distance.
+fn check_transcript(input: &str, text: &str, seed: u64) -> Result<f64, String> {
+    let mut lines = text.lines();
+    let base = lines.next().ok_or("empty transcript")?;
+    let rest: Vec<&str> = lines.collect();
+    let (done, deltas) = rest.split_last().ok_or("transcript has no DONE circuit")?;
+    let mut rebuilt = qasm::from_qasm(base).map_err(|e| format!("snapshot qasm: {e}"))?;
+    for d in deltas {
+        CircuitDelta::decode(d)
+            .and_then(|d| d.apply(&mut rebuilt))
+            .map_err(|e| format!("delta replay: {e}"))?;
+    }
+    let out = qasm::from_qasm(done).map_err(|e| format!("DONE qasm: {e}"))?;
+    if rebuilt != out {
+        return Err("circuit rebuilt from the stream differs from the DONE circuit".into());
+    }
+    let input = qasm::from_qasm(input).map_err(|e| format!("input qasm: {e}"))?;
+    if input.num_qubits() != out.num_qubits() {
+        return Err("DONE circuit has a different width".into());
+    }
+    Ok(qsim::check_equivalence(&input, &out, seed).distance())
+}
+
+/// Checks every record against its job, on `threads` threads. Each
+/// distinct transcript is replayed and checked once: repeat traffic
+/// returns the same stream many times.
+pub fn check(
+    jobs: &[Job],
+    records: &[JobRecord],
+    transcripts: &Transcripts,
+    threads: usize,
+) -> Verdict {
     let failures: Vec<Mutex<Option<String>>> = records.iter().map(|_| Mutex::new(None)).collect();
-    // Equivalence is checked once per distinct (input, output) pair:
-    // repeat traffic returns the same circuits many times.
-    let mut pairs: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut outputs: Vec<Option<Circuit>> = Vec::with_capacity(records.len());
+    let mut by_transcript: HashMap<usize, Vec<usize>> = HashMap::new();
     for (i, rec) in records.iter().enumerate() {
-        match check_stream(rec) {
-            Ok(out) => {
-                let job = &jobs[rec.index % jobs.len()];
-                let key = fnv1a(
-                    rec.done.as_ref().map_or(&b""[..], |d| d.qasm.as_bytes()),
-                    fnv1a(job.qasm.as_bytes(), FNV_SEED),
-                );
-                pairs.entry(key).or_default().push(i);
-                outputs.push(Some(out));
-            }
-            Err(e) => {
-                *failures[i].lock().expect("gate lock") = Some(e);
-                outputs.push(None);
-            }
+        match check_record(rec) {
+            Ok(t) => by_transcript.entry(t).or_default().push(i),
+            Err(e) => *failures[i].lock().expect("gate lock") = Some(e),
         }
     }
-    let groups: Vec<Vec<usize>> = pairs.into_values().collect();
+    let groups: Vec<(usize, Vec<usize>)> = by_transcript.into_iter().collect();
     let next = AtomicUsize::new(0);
     let max_distance = Mutex::new(0.0f64);
     std::thread::scope(|s| {
         for _ in 0..threads.max(1) {
             s.spawn(|| loop {
                 let g = next.fetch_add(1, Ordering::Relaxed);
-                let Some(group) = groups.get(g) else { break };
-                let first = group[0];
-                let rec = &records[first];
-                let out = outputs[first]
-                    .as_ref()
-                    .expect("grouped records passed the stream check");
-                let verdict = qasm::from_qasm(&jobs[rec.index % jobs.len()].qasm)
-                    .map_err(|e| format!("input qasm: {e}"))
-                    .and_then(|input| {
-                        if input.num_qubits() != out.num_qubits() {
-                            return Err("DONE circuit has a different width".into());
-                        }
-                        let d = qsim::check_equivalence(&input, out, 0x9A7E ^ rec.index as u64)
-                            .distance();
-                        let mut m = max_distance.lock().expect("gate lock");
-                        *m = m.max(d);
-                        if d <= EQUIV_TOL {
-                            Ok(())
-                        } else {
-                            Err(format!("DONE circuit is {d:e} from its input"))
-                        }
-                    });
+                let Some((transcript, group)) = groups.get(g) else {
+                    break;
+                };
+                let rec = &records[group[0]];
+                let verdict = transcripts.read(*transcript).and_then(|text| {
+                    let input = &jobs[rec.index % jobs.len()].qasm;
+                    let d = check_transcript(input, &text, 0x9A7E ^ rec.index as u64)?;
+                    let mut m = max_distance.lock().expect("gate lock");
+                    *m = m.max(d);
+                    if d <= EQUIV_TOL {
+                        Ok(())
+                    } else {
+                        Err(format!("DONE circuit is {d:e} from its input"))
+                    }
+                });
                 if let Err(e) = verdict {
                     for &i in group {
                         *failures[i].lock().expect("gate lock") = Some(e.clone());

@@ -211,10 +211,7 @@ pub fn per_layer(wl: &Workload, seed: u64, obs: &Observed) -> Vec<Metric> {
         "guoq.improvements_per_job",
         "count",
         "higher",
-        done.iter()
-            .map(|(r, _)| r.points.len().saturating_sub(1) as f64)
-            .sum::<f64>()
-            / jobs,
+        done.iter().map(|(r, _)| r.improvements as f64).sum::<f64>() / jobs,
     ));
 
     let circuits: Vec<Circuit> = distinct_inputs(wl)
@@ -286,7 +283,7 @@ fn distinct_inputs(wl: &Workload) -> Vec<&str> {
     let mut seen = std::collections::HashSet::new();
     wl.jobs
         .iter()
-        .map(|j| j.qasm.as_str())
+        .map(|j| &*j.qasm)
         .filter(|q| seen.insert(*q))
         .take(8)
         .collect()

@@ -20,10 +20,10 @@ mod layers;
 mod stats;
 mod workload;
 
-use client::{closed_loop, Stop};
+use client::{closed_loop, Recording, Stop, Transcripts};
 use layers::{metric, Metric};
 use qserve::{ServeOpts, Server};
-use stats::{cost_at, fnv1a, geomean_ratio, median, tail, FNV_SEED};
+use stats::{fnv1a, geomean_ratio, median, tail, FNV_SEED};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -165,7 +165,12 @@ fn set_up(wl: &Workload, k: usize) -> Result<(Server, PathBuf), String> {
     }
     let server = Server::start(server_opts(wl, &journal));
     if !wl.warmup.is_empty() {
-        let warm = closed_loop(&server, &wl.warmup, CLIENTS, Stop::AfterAll, false)?;
+        let recording = Recording {
+            transcripts: None,
+            horizon_s: wl.t_s,
+            traced: false,
+        };
+        let warm = closed_loop(&server, &wl.warmup, CLIENTS, Stop::AfterAll, recording)?;
         if let Some(r) = warm.records.iter().find(|r| r.error.is_some()) {
             return Err(format!("warm-up job failed: {:?}", r.error));
         }
@@ -226,41 +231,6 @@ fn determinism_canary(args: &Args, input_hash: u64, finals: &[(usize, f64)]) -> 
     )
 }
 
-/// Writes one line per job to `.bench_work/jobs-<workload>-<seed>.tsv`,
-/// for explaining a run after the fact.
-fn write_job_table(args: &Args, wl: &Workload, records: &[client::JobRecord]) {
-    let mut out = String::from(
-        "index\tlabel\tengine\tgates\tlatency_ms\tqueue_ms\trun_ms\tfast_ms\tslow_ms\tcache_hits\tcache_misses\tinput_cost\tcost\n",
-    );
-    for r in records {
-        let j = &wl.jobs[r.index % wl.jobs.len()];
-        let outcome = match &r.done {
-            Some(d) => format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                d.queue_ms,
-                d.run_ms,
-                d.fast_ms,
-                d.slow_ms,
-                d.cache_hits,
-                d.cache_misses,
-                r.input_cost,
-                d.cost
-            ),
-            None => r.error.clone().unwrap_or_else(|| "no DONE".into()),
-        };
-        out.push_str(&format!(
-            "{}\t{}\t{:?}\t{}\t{:.3}\t{outcome}\n",
-            r.index,
-            j.label,
-            j.engine,
-            j.gates,
-            r.latency_s * 1e3
-        ));
-    }
-    let path = ledger(args, "jobs", "tsv");
-    let _ = std::fs::write(path, out);
-}
-
 /// The harness's tracing overhead: an untraced run records its
 /// `jobs_per_s`, and a traced run of the same workload and seed compares
 /// against it.
@@ -317,6 +287,9 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         .fold(FNV_SEED, |h, j| fnv1a(j.qasm.as_bytes(), h));
 
     // The timed window.
+    let transcripts = Transcripts::create(
+        PathBuf::from(WORK_DIR).join(format!("transcripts-{}", std::process::id())),
+    )?;
     let tallies_before = args.trace.then(layers::family_tallies);
     let cache_before = server.cache_stats();
     let journal_before = dir_bytes(&journal);
@@ -325,7 +298,11 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         &wl.jobs,
         CLIENTS,
         Stop::Deadline(Duration::from_secs(args.seconds)),
-        args.trace,
+        Recording {
+            transcripts: Some(&transcripts),
+            horizon_s: wl.t_s,
+            traced: args.trace,
+        },
     )?;
     let cache_after = server.cache_stats();
     let journal_bytes = dir_bytes(&journal).saturating_sub(journal_before);
@@ -342,7 +319,8 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
     // The correctness gate.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let t = Instant::now();
-    let verdict = gate::check(&wl.jobs, &run.records, threads);
+    let verdict = gate::check(&wl.jobs, &run.records, &transcripts, threads);
+    drop(transcripts);
     let gate_s = t.elapsed().as_secs_f64();
     let records = &run.records;
     let attempted = records.len();
@@ -354,7 +332,6 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         .map(|(r, _)| r)
         .collect();
     let completed = records.iter().filter(|r| r.done.is_some()).count();
-    write_job_table(args, &wl, records);
     let jobs_per_s = completed as f64 / run.wall_s.max(1e-9);
 
     println!(
@@ -432,12 +409,7 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
                     |t| t.value,
                 ),
             ),
-            metric(
-                "cost_ratio_at_t",
-                "ratio",
-                "lower",
-                geo(&|r| cost_at(&r.points, r.input_cost, wl.t_s)),
-            ),
+            metric("cost_ratio_at_t", "ratio", "lower", geo(&|r| r.cost_at_t)),
             metric(
                 "cost_ratio_final",
                 "ratio",

@@ -1,4 +1,4 @@
-//! The four workloads: which circuits go in, under which job options,
+//! The three workloads: which circuits go in, under which job options,
 //! and why each one is in the benchmark.
 //!
 //! Every workload is generated from the `--seed` argument alone, and the
@@ -11,6 +11,7 @@ use qcir::{qasm, Circuit, GateSet};
 use qserve::EngineSel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use workloads::generators as gen;
 
 /// Total ε each job may spend (the paper's `ε_f`).
@@ -21,8 +22,9 @@ pub const JOB_EPS: f64 = 1e-8;
 pub struct Job {
     /// Family and size, for reports.
     pub label: String,
-    /// Single-line OpenQASM of the input circuit.
-    pub qasm: String,
+    /// Single-line OpenQASM of the input circuit, shared by every
+    /// resubmission of it.
+    pub qasm: Arc<str>,
     /// Gate count of the input circuit.
     pub gates: usize,
     /// Engine the job asks for.
@@ -53,7 +55,7 @@ pub struct Workload {
 }
 
 /// Every workload name, in report order.
-pub const NAMES: [&str; 4] = ["nisq-fresh", "large-circuit", "warm-service", "ftqc-fresh"];
+pub const NAMES: [&str; 3] = ["nisq-fresh", "large-circuit", "warm-service"];
 
 /// Generates workload `name` from `seed`; `None` for an unknown name.
 pub fn build(name: &str, seed: u64) -> Option<Workload> {
@@ -62,7 +64,6 @@ pub fn build(name: &str, seed: u64) -> Option<Workload> {
         "nisq-fresh" => nisq_fresh(&mut rng),
         "large-circuit" => large_circuit(&mut rng),
         "warm-service" => warm_service(&mut rng),
-        "ftqc-fresh" => ftqc_fresh(&mut rng),
         _ => return None,
     })
 }
@@ -78,7 +79,7 @@ fn job(
     let native = rebase(circuit, set).expect("generators emit rebasable gates");
     Job {
         label,
-        qasm: qasm::to_qasm_line(&native),
+        qasm: qasm::to_qasm_line(&native).into(),
         gates: native.len(),
         engine,
         iters,
@@ -184,14 +185,21 @@ fn large(kind: usize, n: usize, target: usize, rng: &mut SmallRng) -> (String, C
 fn large_circuit(rng: &mut SmallRng) -> Workload {
     const ITERS: u64 = 600;
     // Wider than 8 qubits, so the correctness gate's equivalence check
-    // samples states instead of building dense unitaries of 30k gates.
+    // samples states instead of building dense unitaries of 30k gates
+    // (the tiled circuits are 12 qubits wide).
     const QUBITS: usize = 9;
+    const SIZES: [usize; 6] = [5_000, 20_000, 10_000, 30_000, 15_000, 25_000];
     let jobs = (0..64)
         .map(|i| {
-            // Sizes interleaved, so every prefix of the stream spans the range.
-            const SIZES: [usize; 6] = [5_000, 20_000, 10_000, 30_000, 15_000, 25_000];
-            let target = SIZES[(i / 8) % SIZES.len()];
-            let (label, c) = large((i / 2) % 4, QUBITS, target, rng);
+            // Each pair of jobs runs one circuit kind and size on both
+            // engines. Every 12 jobs cover all sizes and nearly every 8
+            // all kinds, so every prefix of the stream spans both
+            // ranges; the kind shifts by one per size cycle, so 48 jobs
+            // cover all 24 kind × size pairs.
+            let pair = i / 2;
+            let target = SIZES[pair % SIZES.len()];
+            let kind = (pair + pair / SIZES.len()) % 4;
+            let (label, c) = large(kind, QUBITS, target, rng);
             // Alternate engines so both the serial fast path and the
             // qpar shard pool are on the measured path.
             let engine = if i % 2 == 0 {
@@ -256,8 +264,9 @@ fn warm_service(rng: &mut SmallRng) -> Workload {
                     rng.random(),
                 )
             } else {
-                // Same circuit and seed as its warm-up job: the search
-                // replays that trajectory from the warm cache.
+                // Same circuit (its QASM shared, not copied) and seed as
+                // its warm-up job: the search replays that trajectory
+                // from the warm cache.
                 warmup[i % POPULAR.len()].clone()
             }
         })
@@ -270,63 +279,5 @@ fn warm_service(rng: &mut SmallRng) -> Workload {
         journal: true,
         jobs,
         warmup,
-    }
-}
-
-/// `circuit` rebased to Clifford+T, with a random T, T†, S, S† or H
-/// inserted after about one gate in 16. The suite's Toffoli, adder and
-/// Grover blocks are identical from circuit to circuit, so without this
-/// every window after the first few jobs is a memo-cache hit and the
-/// finite-set slow path drops out of the measurement.
-fn dress_clifford_t(circuit: &Circuit, rng: &mut SmallRng) -> Circuit {
-    use qcir::Gate;
-    const EXTRA: [Gate; 5] = [Gate::T, Gate::Tdg, Gate::S, Gate::Sdg, Gate::H];
-    let native = rebase(circuit, GateSet::CliffordT).expect("suite circuits rebase to Clifford+T");
-    let n = native.num_qubits();
-    let mut out = Circuit::new(n);
-    for ins in native.iter() {
-        out.push(ins.gate, ins.qubits());
-        if rng.random_range(0..16u32) == 0 {
-            let q = rng.random_range(0..n) as qcir::Qubit;
-            out.push(EXTRA[rng.random_range(0..EXTRA.len())], &[q]);
-        }
-    }
-    out
-}
-
-fn ftqc_fresh(rng: &mut SmallRng) -> Workload {
-    const ITERS: u64 = 2_000;
-    const FAMILIES: [&str; 5] = ["tof", "barenco_tof", "adder", "grover", "random_ct"];
-    let jobs = (0..256)
-        .map(|i| {
-            let family = FAMILIES[i % FAMILIES.len()];
-            let n = 12 + (i / FAMILIES.len()) % 5;
-            let s: u64 = rng.random();
-            let c = match family {
-                "tof" => gen::tof_chain(n),
-                "barenco_tof" => gen::barenco_tof(n / 2),
-                "adder" => gen::cuccaro_adder(n / 2),
-                "grover" => gen::grover(n.min(6), 1, s),
-                _ => gen::random_clifford_t(n, 30 * n, s),
-            };
-            let c = dress_clifford_t(&c, rng);
-            job(
-                format!("{family}_{n}"),
-                &c,
-                GateSet::CliffordT,
-                EngineSel::Serial,
-                ITERS,
-                rng.random(),
-            )
-        })
-        .collect();
-    Workload {
-        name: "ftqc-fresh",
-        why: "Clifford+T suite families at 12-16 qubits: the only workload on the finite-set slow path (MCMC, 1q database) and the Clifford+T rule corpus",
-        t_s: 0.1,
-        set: GateSet::CliffordT,
-        journal: false,
-        jobs,
-        warmup: Vec::new(),
     }
 }
