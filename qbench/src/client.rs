@@ -110,15 +110,6 @@ impl Drop for Transcripts {
     }
 }
 
-/// When a closed loop stops submitting.
-#[derive(Debug, Clone, Copy)]
-pub enum Stop {
-    /// Submit every job of the stream once.
-    AfterAll,
-    /// Submit until this long after the start, then drain.
-    Deadline(Duration),
-}
-
 /// How a closed loop records its jobs.
 #[derive(Clone, Copy)]
 pub struct Recording<'a> {
@@ -322,13 +313,14 @@ impl<'a> Conn<'a> {
 }
 
 /// Runs `clients` closed-loop clients over `jobs` (taken in order,
-/// cycling) until `stop`. Stream entry `i` is submitted as job id
-/// `i + 1`, so ids are unique across clients.
+/// cycling) until `deadline` after the start, then waits for the jobs in
+/// flight. Stream entry `i` is submitted as job id `i + 1`, so ids are
+/// unique across clients.
 pub fn closed_loop(
     server: &Server,
     jobs: &[Job],
     clients: usize,
-    stop: Stop,
+    deadline: Duration,
     recording: Recording,
 ) -> Result<LoopRun, String> {
     let conns = (0..clients)
@@ -343,16 +335,8 @@ pub fn closed_loop(
                 let next = &next;
                 s.spawn(move || {
                     let mut mine = Vec::new();
-                    loop {
-                        if let Stop::Deadline(d) = stop {
-                            if epoch.elapsed() >= d {
-                                break;
-                            }
-                        }
+                    while epoch.elapsed() < deadline {
                         let index = next.fetch_add(1, Ordering::Relaxed);
-                        if matches!(stop, Stop::AfterAll) && index >= jobs.len() {
-                            break;
-                        }
                         mine.push(conn.run_job(&jobs[index % jobs.len()], index, epoch));
                     }
                     mine

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path qbench/Cargo.toml -- \
-//!     --workload nisq-fresh --seed 1 --seconds 15 --trace 0
+//!     --workload nisq-fresh --seed 1 --seconds 30 --trace 0
 //! ```
 
 mod client;
@@ -20,7 +20,7 @@ mod layers;
 mod stats;
 mod workload;
 
-use client::{closed_loop, Recording, Stop, Transcripts};
+use client::{closed_loop, Recording, Transcripts};
 use layers::{metric, Metric};
 use qserve::{ServeOpts, Server};
 use stats::{fnv1a, geomean_ratio, median, tail, FNV_SEED};
@@ -123,13 +123,13 @@ fn dir_bytes(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// The process's peak resident set (`VmHWM`), in MiB.
-fn peak_rss_mb() -> f64 {
+/// A `/proc/self/status` memory field (`VmHWM`, `VmRSS`), in MiB.
+fn status_mb(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
                 .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         })
         .map_or(0.0, |kb| kb / 1024.0)
@@ -155,27 +155,15 @@ fn provenance() -> String {
     )
 }
 
-/// Starts the server and runs the workload's cold first pass. Returns
-/// the server and its journal directory.
+/// Starts the server, with a fresh journal directory when the workload
+/// journals. Returns the server and that directory.
 fn set_up(wl: &Workload, k: usize) -> Result<(Server, PathBuf), String> {
     let journal = PathBuf::from(WORK_DIR).join(format!("journal-{}-{k}", std::process::id()));
     if wl.journal {
         let _ = std::fs::remove_dir_all(&journal);
         std::fs::create_dir_all(&journal).map_err(|e| format!("{}: {e}", journal.display()))?;
     }
-    let server = Server::start(server_opts(wl, &journal));
-    if !wl.warmup.is_empty() {
-        let recording = Recording {
-            transcripts: None,
-            horizon_s: wl.t_s,
-            traced: false,
-        };
-        let warm = closed_loop(&server, &wl.warmup, CLIENTS, Stop::AfterAll, recording)?;
-        if let Some(r) = warm.records.iter().find(|r| r.error.is_some()) {
-            return Err(format!("warm-up job failed: {:?}", r.error));
-        }
-    }
-    Ok((server, journal))
+    Ok((Server::start(server_opts(wl, &journal)), journal))
 }
 
 /// A per-workload, per-seed file in the work directory that later runs
@@ -250,10 +238,10 @@ fn tracing_overhead(args: &Args, jobs_per_s: f64) -> Option<String> {
 fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
     std::fs::create_dir_all(WORK_DIR).map_err(|e| format!("{WORK_DIR}: {e}"))?;
 
-    // Set-up, several times: generate the workload, start the server
-    // and run its cold first pass; all but the last server are shut
-    // down. The first use of the process-wide rule corpus and
-    // resynthesizer registries is paid once per process.
+    // Set-up, several times: generate the workload and start the
+    // server; all but the last server are shut down. The first use of
+    // the process-wide rule corpus and resynthesizer registries is paid
+    // once per process.
     let mut registry_s = 0.0;
     let mut setup_times = Vec::new();
     let mut current: Option<(Server, Workload, PathBuf)> = None;
@@ -293,11 +281,12 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
     let tallies_before = args.trace.then(layers::family_tallies);
     let cache_before = server.cache_stats();
     let journal_before = dir_bytes(&journal);
+    let rss_before = status_mb("VmRSS");
     let run = closed_loop(
         &server,
         &wl.jobs,
         CLIENTS,
-        Stop::Deadline(Duration::from_secs(args.seconds)),
+        Duration::from_secs(args.seconds),
         Recording {
             transcripts: Some(&transcripts),
             horizon_s: wl.t_s,
@@ -312,7 +301,7 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         None
     };
     let tallies_after = args.trace.then(layers::family_tallies);
-    let peak_rss = peak_rss_mb();
+    let peak_rss = status_mb("VmHWM");
     Server::shutdown(server);
     let _ = std::fs::remove_dir_all(&journal);
 
@@ -352,6 +341,9 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
     println!(
         "load: closed loop, {CLIENTS} clients, worker_budget={CLIENTS}; {completed} jobs completed in {:.3} s",
         run.wall_s
+    );
+    println!(
+        "memory: {rss_before:.1} MiB resident at the first timed SUBMIT (the generated stream included), peak {peak_rss:.1} MiB"
     );
     println!(
         "setup: registry first use {registry_s:.4} s + median of {SETUPS} set-ups {start_s:.4} s; process start to first timed SUBMIT {setup_wall_s:.3} s"

@@ -1,4 +1,4 @@
-//! The three workloads: which circuits go in, under which job options,
+//! The two workloads: which circuits go in, under which job options,
 //! and why each one is in the benchmark.
 //!
 //! Every workload is generated from the `--seed` argument alone, and the
@@ -50,12 +50,10 @@ pub struct Workload {
     pub journal: bool,
     /// The timed stream; clients take jobs from it in order.
     pub jobs: Vec<Job>,
-    /// Jobs run once during set-up, untimed (the cold first pass).
-    pub warmup: Vec<Job>,
 }
 
 /// Every workload name, in report order.
-pub const NAMES: [&str; 3] = ["nisq-fresh", "large-circuit", "warm-service"];
+pub const NAMES: [&str; 2] = ["nisq-fresh", "large-circuit"];
 
 /// Generates workload `name` from `seed`; `None` for an unknown name.
 pub fn build(name: &str, seed: u64) -> Option<Workload> {
@@ -63,7 +61,6 @@ pub fn build(name: &str, seed: u64) -> Option<Workload> {
     Some(match name {
         "nisq-fresh" => nisq_fresh(&mut rng),
         "large-circuit" => large_circuit(&mut rng),
-        "warm-service" => warm_service(&mut rng),
         _ => return None,
     })
 }
@@ -112,11 +109,13 @@ fn nisq_circuit(family: &str, n: usize, layers: usize, rng: &mut SmallRng) -> Ci
 // seed only draws the circuits' own parameters and the job seeds. A run
 // completes a prefix of the stream whose length depends on the
 // program's speed, so the mix of work in that prefix must not depend on
-// the seed.
+// the seed. Each stream is about three times (nisq-fresh) and twice
+// (large-circuit) as long as a 30-second run gets through on two vCPUs,
+// so a faster program still sees no input twice.
 
 fn nisq_fresh(rng: &mut SmallRng) -> Workload {
     const ITERS: u64 = 2_000;
-    let jobs = (0..256)
+    let jobs = (0..512)
         .map(|i| {
             // 7 families × 5 sizes: every 35 consecutive jobs cover
             // each pair once, and every 5 cover each size.
@@ -135,12 +134,11 @@ fn nisq_fresh(rng: &mut SmallRng) -> Workload {
         .collect();
     Workload {
         name: "nisq-fresh",
-        why: "fresh Default-scale Nam circuits (qaoa, vqe, ising, heisenberg, qv, qft, qpe; 8-12 qubits): slow-path instantiation is ~99% of busy time, so qsynth/qmath work shows",
+        why: "fresh Default-scale Nam circuits (qaoa, vqe, ising, heisenberg, qv, qft, qpe; 8-12 qubits), journaling server: slow-path instantiation is ~99% of busy time, so qsynth/qmath work shows",
         t_s: 0.1,
         set: GateSet::Nam,
-        journal: false,
+        journal: true,
         jobs,
-        warmup: Vec::new(),
     }
 }
 
@@ -189,7 +187,7 @@ fn large_circuit(rng: &mut SmallRng) -> Workload {
     // (the tiled circuits are 12 qubits wide).
     const QUBITS: usize = 9;
     const SIZES: [usize; 6] = [5_000, 20_000, 10_000, 30_000, 15_000, 25_000];
-    let jobs = (0..64)
+    let jobs = (0..240)
         .map(|i| {
             // Each pair of jobs runs one circuit kind and size on both
             // engines. Every 12 jobs cover all sizes and nearly every 8
@@ -217,67 +215,5 @@ fn large_circuit(rng: &mut SmallRng) -> Workload {
         set: GateSet::Nam,
         journal: false,
         jobs,
-        warmup: Vec::new(),
-    }
-}
-
-fn warm_service(rng: &mut SmallRng) -> Workload {
-    const ITERS: u64 = 1_500;
-    /// The circuits resubmitted throughout the stream: fixed suite
-    /// instances, as popular circuits are the same for every client.
-    const POPULAR: [&str; 4] = ["qaoa_06_p1", "vqe_06_l1", "ising_06", "qv_06"];
-    /// One job in this many is a fresh circuit.
-    const FRESH_EVERY: usize = 64;
-    let small = |k: usize, rng: &mut SmallRng| {
-        let family = NISQ_FAMILIES[k % NISQ_FAMILIES.len()];
-        let n = 4 + k % 3;
-        (format!("{family}_{n}"), nisq_circuit(family, n, 1, rng))
-    };
-    let suite = workloads::suite(GateSet::Nam, workloads::SuiteScale::Default);
-    let warmup: Vec<Job> = POPULAR
-        .iter()
-        .map(|name| {
-            let b = suite
-                .iter()
-                .find(|b| b.name == *name)
-                .expect("a Default-scale suite circuit");
-            job(
-                b.name.clone(),
-                &b.circuit,
-                GateSet::Nam,
-                EngineSel::Serial,
-                ITERS,
-                rng.random(),
-            )
-        })
-        .collect();
-    let jobs = (0..8_192)
-        .map(|i| {
-            if i % FRESH_EVERY == FRESH_EVERY - 1 {
-                let (label, c) = small(i / FRESH_EVERY, rng);
-                job(
-                    format!("fresh_{label}"),
-                    &c,
-                    GateSet::Nam,
-                    EngineSel::Serial,
-                    ITERS,
-                    rng.random(),
-                )
-            } else {
-                // Same circuit (its QASM shared, not copied) and seed as
-                // its warm-up job: the search replays that trajectory
-                // from the warm cache.
-                warmup[i % POPULAR.len()].clone()
-            }
-        })
-        .collect();
-    Workload {
-        name: "warm-service",
-        why: "4 popular circuits resubmitted, 1 fresh in 64, journaling server, warm cache: admission, codec, journal, delta stream and cache hits dominate",
-        t_s: 0.002,
-        set: GateSet::Nam,
-        journal: true,
-        jobs,
-        warmup,
     }
 }
