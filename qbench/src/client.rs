@@ -127,6 +127,8 @@ pub struct LoopRun {
     pub records: Vec<JobRecord>,
     /// First SUBMIT to last terminal frame, seconds.
     pub wall_s: f64,
+    /// When the first SUBMIT went out; `end_s` counts from it.
+    pub epoch: Instant,
 }
 
 /// One client connection: its scoped handle and reply channel.
@@ -350,7 +352,11 @@ pub fn closed_loop(
     });
     records.sort_by_key(|r| r.index);
     let wall_s = records.iter().map(|r| r.end_s).fold(0.0, f64::max);
-    Ok(LoopRun { records, wall_s })
+    Ok(LoopRun {
+        records,
+        wall_s,
+        epoch,
+    })
 }
 
 /// One `STATS` round trip on a fresh connection.

@@ -17,6 +17,7 @@
 mod client;
 mod gate;
 mod layers;
+mod probe;
 mod stats;
 mod workload;
 
@@ -282,6 +283,7 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
     let cache_before = server.cache_stats();
     let journal_before = dir_bytes(&journal);
     let rss_before = status_mb("VmRSS");
+    let probe = probe::Probe::start();
     let run = closed_loop(
         &server,
         &wl.jobs,
@@ -294,6 +296,7 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         },
     )?;
     let cache_after = server.cache_stats();
+    let host = probe.finish(run.epoch);
     let journal_bytes = dir_bytes(&journal).saturating_sub(journal_before);
     let stats_after = if args.trace {
         Some(client::stats(&server)?)
@@ -321,7 +324,9 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         .map(|(r, _)| r)
         .collect();
     let completed = records.iter().filter(|r| r.done.is_some()).count();
-    let jobs_per_s = completed as f64 / run.wall_s.max(1e-9);
+    let raw_jobs_per_s = completed as f64 / run.wall_s.max(1e-9);
+    // Timing metrics count time at the probe's reference host speed.
+    let jobs_per_s = completed as f64 / host.reference_seconds(0.0, run.wall_s).max(1e-9);
 
     println!(
         "qbench workload={} seed={} seconds={} trace={}",
@@ -343,14 +348,39 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
         run.wall_s
     );
     println!(
+        "host: the probe's median pass took {:.4} x the reference {} ms over {} passes; setup_s, jobs_per_s and the latencies below count time at the reference speed",
+        host.median_slowdown,
+        probe::REFERENCE_PASS_S * 1e3,
+        host.passes
+    );
+    println!(
         "memory: {rss_before:.1} MiB resident at the first timed SUBMIT (the generated stream included), peak {peak_rss:.1} MiB"
     );
     println!(
         "setup: registry first use {registry_s:.4} s + median of {SETUPS} set-ups {start_s:.4} s; process start to first timed SUBMIT {setup_wall_s:.3} s"
     );
 
-    let latencies: Vec<f64> = ok.iter().map(|r| r.latency_s * 1e3).collect();
-    let tail_lat = tail(&latencies, 10);
+    // Median and tail of a latency sample; the tail falls back to the
+    // slowest job when there are too few jobs.
+    let p50_tail = |latencies: &[f64]| {
+        let t = tail(latencies, 10);
+        let slowest = latencies.iter().copied().fold(0.0, f64::max);
+        (
+            median(latencies).unwrap_or(0.0),
+            t.map_or(slowest, |t| t.value),
+            t,
+        )
+    };
+    let wall: Vec<f64> = ok.iter().map(|r| r.latency_s * 1e3).collect();
+    let (wall_p50, wall_tail, _) = p50_tail(&wall);
+    println!(
+        "wall-clock: setup_s {setup_s} s, jobs_per_s {raw_jobs_per_s} 1/s, job_latency_p50_ms {wall_p50} ms, job_latency_tail_ms {wall_tail} ms"
+    );
+    let latencies: Vec<f64> = ok
+        .iter()
+        .map(|r| host.reference_seconds(r.end_s - r.latency_s, r.end_s) * 1e3)
+        .collect();
+    let (p50, tail_ms, tail_lat) = p50_tail(&latencies);
     let finals: Vec<(usize, f64)> = records
         .iter()
         .filter_map(|r| r.done.as_ref().map(|d| (r.index, d.cost)))
@@ -384,23 +414,10 @@ fn run(args: &Args, process_start: Instant) -> Result<bool, String> {
             None => println!("job_latency_tail_ms: fewer than 11 jobs, reporting the slowest"),
         }
         vec![
-            metric("setup_s", "s", "lower", setup_s),
+            metric("setup_s", "s", "lower", setup_s / host.median_slowdown),
             metric("jobs_per_s", "1/s", "higher", jobs_per_s),
-            metric(
-                "job_latency_p50_ms",
-                "ms",
-                "lower",
-                median(&latencies).unwrap_or(0.0),
-            ),
-            metric(
-                "job_latency_tail_ms",
-                "ms",
-                "lower",
-                tail_lat.map_or_else(
-                    || latencies.iter().copied().fold(0.0, f64::max),
-                    |t| t.value,
-                ),
-            ),
+            metric("job_latency_p50_ms", "ms", "lower", p50),
+            metric("job_latency_tail_ms", "ms", "lower", tail_ms),
             metric("cost_ratio_at_t", "ratio", "lower", geo(&|r| r.cost_at_t)),
             metric(
                 "cost_ratio_final",
