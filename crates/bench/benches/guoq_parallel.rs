@@ -38,6 +38,10 @@ struct Row {
 }
 
 fn run(circuit: &Circuit, engine: Engine, budget: Duration) -> Row {
+    let (engine_name, workers) = match engine {
+        Engine::Sharded { workers, .. } => (format!("sharded-{workers}w"), workers),
+        _ => ("incremental".to_string(), 1),
+    };
     let opts = GuoqOpts {
         budget: Budget::Time(budget),
         eps_total: 1e-6,
@@ -49,11 +53,6 @@ fn run(circuit: &Circuit, engine: Engine, budget: Duration) -> Row {
     let started = Instant::now();
     let r = g.optimize(circuit, &TwoQubitCount);
     let seconds = started.elapsed().as_secs_f64();
-    let (engine_name, workers) = match engine {
-        Engine::Incremental => ("incremental".to_string(), 1),
-        Engine::CloneRebuild => ("clone-rebuild".to_string(), 1),
-        Engine::Sharded { workers } => (format!("sharded-{workers}w"), workers),
-    };
     Row {
         size: circuit.len(),
         engine: engine_name,
@@ -82,12 +81,8 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &size in &sizes {
         let circuit = tiled_workload(size);
-        let mut engines = vec![Engine::Incremental];
-        engines.extend(
-            worker_counts
-                .iter()
-                .map(|&w| Engine::Sharded { workers: w }),
-        );
+        let mut engines = vec![Engine::Serial];
+        engines.extend(worker_counts.iter().map(|&w| Engine::sharded(w)));
         for engine in engines {
             let row = run(&circuit, engine, budget);
             println!(

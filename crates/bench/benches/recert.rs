@@ -106,7 +106,7 @@ fn main() {
             budget: Budget::Iterations(iters),
             eps_total: 1e-8,
             seed: 0xABCD,
-            engine: Engine::Incremental,
+            engine: Engine::Serial,
             ..Default::default()
         },
     )
@@ -175,7 +175,7 @@ fn main() {
             budget: Budget::Iterations(iters),
             eps_total: 1e-8,
             seed: 0xC397,
-            engine: Engine::Incremental,
+            engine: Engine::Serial,
             ..Default::default()
         },
     )
@@ -209,8 +209,11 @@ fn main() {
                 budget: Budget::Iterations(iters),
                 eps_total: 1e-8,
                 seed,
-                engine: Engine::Incremental,
-                certify,
+                engine: if certify {
+                    Engine::Certifying { prior: None }
+                } else {
+                    Engine::Serial
+                },
                 ..Default::default()
             },
         )

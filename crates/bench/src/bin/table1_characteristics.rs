@@ -1,11 +1,11 @@
 //! Table 1: measured characteristics of rewrite rules vs. resynthesis —
 //! speed, gate-count scaling, qubit-count scaling, approximation.
 
-use guoq::transform::{ResynthPass, RulePass, Transformation};
+use guoq::transform::{ResynthPass, SearchCtx, Transformation};
 use qcir::{rebase::rebase, GateSet};
 use qsynth::Resynthesizer;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 fn main() {
@@ -13,23 +13,25 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(1);
     let circuit = rebase(&workloads::generators::qft(12), set).expect("rebase");
 
-    // Speed: mean wall time per application.
+    // Speed: mean wall time per application — a full rule pass from a
+    // random anchor, and one resynthesis of a random region.
     let rules = qrewrite::rules_for(set);
-    let rule_pass = RulePass::new(rules[0].clone());
     let t0 = Instant::now();
     let mut fired = 0;
     for _ in 0..200 {
-        if rule_pass.apply(&circuit, &mut rng).is_some() {
+        let start = rng.random_range(0..circuit.len());
+        if qrewrite::apply_rule_pass(&circuit, &rules[0], start).is_some() {
             fired += 1;
         }
     }
     let rule_us = t0.elapsed().as_micros() as f64 / 200.0;
 
     let resynth = ResynthPass::new(std::sync::Arc::new(Resynthesizer::new(set)), 3, 1e-6);
+    let mut ctx = SearchCtx::new(circuit);
     let t0 = Instant::now();
     let mut hits = 0;
     for _ in 0..10 {
-        if resynth.apply(&circuit, &mut rng).is_some() {
+        if resynth.apply_patch(&mut ctx, &mut rng).is_some() {
             hits += 1;
         }
     }

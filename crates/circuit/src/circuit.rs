@@ -3,8 +3,7 @@
 //! A [`Circuit`] is an ordered list of [`Instruction`]s over `n` qubits.
 //! The order is one valid topological order of the circuit DAG; the DAG
 //! structure itself lives in per-wire predecessor/successor links
-//! embedded in the arena (see [`Circuit::next_on_wire`] and friends; a
-//! standalone snapshot form also exists as [`crate::dag::WireDag`]).
+//! embedded in the arena (see [`Circuit::next_on_wire`] and friends).
 //!
 //! # Storage: the slot arena
 //!
@@ -1271,43 +1270,67 @@ mod tests {
         }
     }
 
-    /// Full structural audit of the arena against positional rebuilds.
+    /// Full structural audit of the arena: rank/select, slot contents,
+    /// and every wire link against a positional per-wire scan.
     fn check_arena(c: &Circuit) {
-        use crate::dag::WireDag;
         let a = &c.arena;
         assert_eq!(a.live, c.len());
-        for (li, s) in a.live_slots().enumerate() {
-            assert_eq!(a.rank(s), li, "rank/select out of sync at slot {s}");
-            assert_eq!(a.select(li), s, "rank/select out of sync at slot {s}");
-        }
-        let dag = WireDag::build(c);
         let slot_of: Vec<usize> = a.live_slots().collect();
-        for (i, s) in slot_of.iter().copied().enumerate() {
-            let ins = c.instructions()[i];
-            assert_eq!(a.instruction_at(s), ins, "slot content mismatch");
-            for (pos, &q) in ins.qubits().iter().enumerate() {
-                let nx = a.next[s][pos];
-                let expect = dag.next_on_wire(c, i, q).map(|j| slot_of[j]);
-                assert_eq!((nx != NONE).then_some(nx as usize), expect, "next link");
-                let pv = a.prev[s][pos];
-                let expect = dag.prev_on_wire(c, i, q).map(|j| slot_of[j]);
-                assert_eq!((pv != NONE).then_some(pv as usize), expect, "prev link");
+        for (li, &s) in slot_of.iter().enumerate() {
+            assert_eq!(
+                (a.rank(s), a.select(li)),
+                (li, s),
+                "rank/select at slot {s}"
+            );
+            assert_eq!(a.instruction_at(s), c.instructions()[li], "slot content");
+        }
+        let link = |v: u32| (v != NONE).then_some(v as usize);
+        for q in 0..c.num_qubits() {
+            let wire: Vec<usize> = (0..c.len())
+                .filter(|&i| c.instructions()[i].acts_on(q as Qubit))
+                .map(|i| slot_of[i])
+                .collect();
+            assert_eq!(link(a.first[q]), wire.first().copied(), "first on wire {q}");
+            assert_eq!(link(a.last[q]), wire.last().copied(), "last on wire {q}");
+            for (k, &s) in wire.iter().enumerate() {
+                let ins = a.instruction_at(s);
+                let pos = ins.qubits().iter().position(|&w| w as usize == q).unwrap();
+                let prev = k.checked_sub(1).map(|j| wire[j]);
+                assert_eq!(link(a.prev[s][pos]), prev, "prev on wire {q}");
+                assert_eq!(
+                    link(a.next[s][pos]),
+                    wire.get(k + 1).copied(),
+                    "next on wire {q}"
+                );
             }
         }
-        for q in 0..c.num_qubits() {
-            let f = a.first[q];
-            assert_eq!(
-                (f != NONE).then_some(f as usize),
-                dag.first_on_wire(q as Qubit).map(|j| slot_of[j]),
-                "first link on wire {q}"
-            );
-            let l = a.last[q];
-            assert_eq!(
-                (l != NONE).then_some(l as usize),
-                dag.last_on_wire(q as Qubit).map(|j| slot_of[j]),
-                "last link on wire {q}"
-            );
-        }
+    }
+
+    #[test]
+    fn wire_links() {
+        let mut c = Circuit::new(3);
+        c.push(Gate::H, &[0]);
+        c.push(Gate::Cx, &[0, 1]);
+        c.push(Gate::T, &[2]);
+        c.push(Gate::Cx, &[1, 2]);
+        c.push(Gate::H, &[0]);
+        let id = |p: usize| c.id_at(p);
+        assert_eq!(c.first_on_wire(0), Some(id(0)));
+        assert_eq!(c.next_on_wire(id(0), 0), Some(id(1)));
+        assert_eq!(c.next_on_wire(id(1), 0), Some(id(4)));
+        assert_eq!(c.next_on_wire(id(1), 1), Some(id(3)));
+        assert_eq!(c.prev_on_wire(id(3), 2), Some(id(2)));
+        assert_eq!(c.next_on_wire(id(4), 0), None);
+        assert_eq!(c.last_on_wire(2), Some(id(3)));
+        assert_eq!(c.last_on_wire(0), Some(id(4)));
+        check_arena(&c);
+    }
+
+    #[test]
+    fn empty_wires() {
+        let c = Circuit::new(4);
+        assert_eq!((c.first_on_wire(3), c.last_on_wire(3)), (None, None));
+        check_arena(&c);
     }
 
     #[test]

@@ -107,9 +107,9 @@ impl Patch {
     /// `insert_at`. `circuit` must be in its pre-patch state.
     ///
     /// This is the *single* definition of the emission order —
-    /// [`Circuit::apply_patch`] and [`crate::dag::WireDag::splice`] both
-    /// build on it, so the instruction list and the DAG cannot disagree
-    /// about where the replacement lands.
+    /// [`Circuit::apply_patch`] builds on it, so the instruction list and
+    /// the arena's wire links cannot disagree about where the
+    /// replacement lands.
     pub fn visit_window<F: FnMut(&Instruction)>(&self, circuit: &Circuit, mut f: F) {
         let (wlo, whi) = self.window();
         let mut rem = self.removed.iter().peekable();

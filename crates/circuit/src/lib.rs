@@ -4,22 +4,19 @@
 //!
 //! * [`Gate`]: the gate alphabet covering all five evaluation gate sets
 //! * [`Circuit`] / [`Instruction`]: the ordered-list IR with O(1) cached
-//!   gate-count metrics and dense-unitary semantics
+//!   gate-count metrics, per-wire DAG links embedded in its slot arena
+//!   ([`Circuit::next_on_wire`] and friends) and dense-unitary semantics
 //! * [`edit::Patch`]: local edits with in-place
 //!   [`Circuit::apply_patch`]/[`Circuit::revert_patch`] — the substrate
 //!   of the incremental optimizer loop
 //! * [`delta::CircuitDelta`]: a stable, versioned serialized form of
 //!   edit scripts (apply / compose / diff + a compact line codec) — the
 //!   wire and journal currency of the event-sourced optimization API
-//! * [`dag::WireDag`]: standalone per-wire DAG snapshot with
-//!   incremental [`dag::WireDag::splice`] maintenance under patches —
-//!   the optimizer hot path instead reads the equivalent links embedded
-//!   in the [`Circuit`] arena ([`Circuit::next_on_wire`] and friends)
 //! * [`region::Region`]: convex subcircuits — extraction and sound
 //!   replacement (the substrate for both rewrite application and
 //!   resynthesis)
 //! * [`shard::ShardPlan`]: contiguous-window partitioning with boundary
-//!   metadata and patch re-offsetting — the substrate for sharded
+//!   rotation and patch re-offsetting — the substrate for sharded
 //!   parallel optimization
 //! * [`gateset::GateSet`] and [`rebase::rebase`]: the paper's Table 2 gate
 //!   sets and verified decompositions into them
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod circuit;
-pub mod dag;
 pub mod delta;
 pub mod edit;
 pub mod gate;

@@ -22,13 +22,9 @@
 //! shards (a cancelling CX pair split by a cut, say). Following POPQC's
 //! managed-boundary strategy, a plan takes a rotation `phase`: odd
 //! phases shift every interior cut by half a window, so instructions
-//! sitting on a boundary in one epoch are interior in the next. The
-//! [boundary qubits](ShardPlan::boundary_qubits) of a shard — wires it
-//! shares with the rest of the circuit — are computed on demand for
-//! diagnostics and boundary-aware scheduling (they are not needed on
-//! the per-epoch partition path).
+//! sitting on a boundary in one epoch are interior in the next.
 
-use crate::circuit::{Circuit, Qubit};
+use crate::circuit::Circuit;
 use crate::edit::Patch;
 
 /// One contiguous instruction window of a [`ShardPlan`].
@@ -121,36 +117,6 @@ impl ShardPlan {
         }
     }
 
-    /// Qubits used both inside shard `index` and elsewhere in the
-    /// circuit, sorted ascending. Edits that change the shard's action
-    /// on these wires interact with neighbouring shards; edits confined
-    /// to non-boundary qubits are invisible outside the shard. Computed
-    /// on demand (one pass over the instruction list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or `circuit` does not match
-    /// the plan's length.
-    pub fn boundary_qubits(&self, circuit: &Circuit, index: usize) -> Vec<Qubit> {
-        assert_eq!(circuit.len(), self.circuit_len, "circuit/plan mismatch");
-        let s = &self.shards[index];
-        let mut inside = vec![false; self.num_qubits];
-        let mut outside = vec![false; self.num_qubits];
-        for (i, ins) in circuit.instructions().iter().enumerate() {
-            let mask = if i >= s.lo && i < s.hi {
-                &mut inside
-            } else {
-                &mut outside
-            };
-            for &q in ins.qubits() {
-                mask[q as usize] = true;
-            }
-        }
-        (0..self.num_qubits as Qubit)
-            .filter(|&q| inside[q as usize] && outside[q as usize])
-            .collect()
-    }
-
     /// The shards in index order (windows are ascending and disjoint,
     /// covering `0..circuit_len`).
     pub fn shards(&self) -> &[ShardSpec] {
@@ -211,6 +177,7 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Qubit;
     use crate::gate::Gate;
 
     fn chain(len: usize) -> Circuit {
@@ -273,19 +240,6 @@ mod tests {
         let plan = ShardPlan::partition(&empty, 4, 1);
         assert_eq!(plan.len(), 1);
         assert!(plan.shards()[0].is_empty());
-    }
-
-    #[test]
-    fn boundary_qubits_are_shared_wires() {
-        // q0 only in shard 0, q3 only in shard 1, q1/q2 cross the cut.
-        let mut c = Circuit::new(4);
-        c.push(Gate::Cx, &[0, 1]);
-        c.push(Gate::H, &[2]);
-        c.push(Gate::Cx, &[1, 2]);
-        c.push(Gate::Cx, &[2, 3]);
-        let plan = ShardPlan::partition(&c, 2, 0);
-        assert_eq!(plan.boundary_qubits(&c, 0), vec![1, 2]);
-        assert_eq!(plan.boundary_qubits(&c, 1), vec![1, 2]);
     }
 
     #[test]

@@ -349,11 +349,14 @@ impl Optimizer for BeamSearch {
                     }
                 }
                 if let Some(rp) = &self.resynth {
-                    use crate::transform::Transformation;
+                    use crate::transform::{SearchCtx, Transformation};
                     if eps + rp.epsilon() <= self.eps_total {
-                        if let Some(applied) = rp.apply(cand, &mut rng) {
-                            let k = cost.cost(&applied.circuit);
-                            next.push((k, applied.circuit, eps + applied.epsilon));
+                        let mut ctx = SearchCtx::new(cand.clone());
+                        if let Some(pa) = rp.apply_patch(&mut ctx, &mut rng) {
+                            ctx.commit(&pa.patch);
+                            let out = ctx.into_circuit();
+                            let k = cost.cost(&out);
+                            next.push((k, out, eps + pa.epsilon));
                         }
                     }
                 }

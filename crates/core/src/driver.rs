@@ -1,16 +1,15 @@
 //! The single-shard search driver: Algorithm 1's mutable state and
 //! acceptance rule, shared by every engine.
 //!
-//! Before this module existed, the sync and async optimizers each
-//! carried their own copy of the Metropolis/budget loop (and the legacy
-//! clone–rebuild engine a third). A [`ShardDriver`] is the one
-//! implementation: it owns the working circuit (inside a
-//! [`SearchCtx`]), the running cost/ε tallies, best-so-far tracking and
-//! the history trace, and exposes the loop as composable pieces —
-//! [`step`](ShardDriver::step) for a full Algorithm-1 iteration,
+//! A [`ShardDriver`] is the one implementation of the loop: it owns
+//! the working circuit (inside a [`SearchCtx`]), the running cost/ε
+//! tallies, best-so-far tracking and the history trace, and exposes the
+//! loop as composable pieces — [`step`](ShardDriver::step) for a full
+//! Algorithm-1 iteration,
 //! [`fast_move`](ShardDriver::fast_move)/[`offer_resynth`](ShardDriver::offer_resynth)
-//! for the async driver's interleaving, and [`run`](ShardDriver::run)
-//! for the plain budget loop.
+//! for the async engine's interleaving, and [`run`](ShardDriver::run)
+//! for the plain budget loop. Every candidate is a patch priced by
+//! [`CostFn::delta`].
 //!
 //! The same driver powers the sharded parallel engine: each worker
 //! constructs a `ShardDriver` over its shard circuit with a per-slice
@@ -20,7 +19,7 @@
 use crate::cost::CostFn;
 use crate::guoq::{Budget, GuoqOpts, GuoqResult, HistoryPoint};
 use crate::observe::{CancelToken, EventSink, OptEvent};
-use crate::transform::{Applied, PatchApplied, ResynthPass, SearchCtx, Transformation};
+use crate::transform::{PatchApplied, ResynthPass, SearchCtx, Transformation};
 use qcir::delta::CircuitDelta;
 use qcir::edit::Patch;
 use qcir::Circuit;
@@ -52,6 +51,26 @@ const BEST_JOURNAL_CAP: usize = 65536;
 /// ~0.3s — frequent enough to watch a fast/slow split move, rare enough
 /// to be free.
 const STATS_EVERY_ITERS: u64 = 1 << 18;
+
+/// Probability that a transformation probe anchors inside a
+/// recently-edited window instead of sampling uniformly (accepted
+/// edits cluster, so re-probing near them raises the hit rate).
+/// Sampling is always uniform until the first edit is committed.
+const DIRTY_WINDOW_BIAS: f64 = 0.25;
+
+/// Certification window length, in gates.
+const CERT_WINDOW: usize = 24;
+
+/// Probe attempts a window must survive to earn its stamp.
+const CERT_PROBES: u64 = 96;
+
+/// Iterations without a strict best-cost improvement before a
+/// certification sweep starts.
+const CERT_PLATEAU: u64 = 2048;
+
+/// Fraction of gates that must be covered by stamps for a certifying
+/// run to terminate early.
+const CERT_COVERAGE: f64 = 0.9;
 
 /// How the driver remembers its best-so-far circuit.
 ///
@@ -149,10 +168,6 @@ pub struct ShardDriver<'c> {
     temperature: f64,
     resynth_probability: f64,
     record_history: bool,
-    /// Take the incremental patch path (the default); the clone–rebuild
-    /// baseline clears this and pays the materializing
-    /// [`Transformation::apply`] instead.
-    use_patches: bool,
     started: Instant,
     /// Cooperative cancellation, checked between iterations in
     /// [`run`](Self::run) (taken from [`GuoqOpts::cancel`]).
@@ -192,16 +207,6 @@ pub struct ShardDriver<'c> {
     /// The sweep covered the circuit: [`Self::finish`] attaches the
     /// certificate and [`Self::run`] has stopped.
     certified: bool,
-    /// Gates per certification window ([`GuoqOpts::cert_window`]).
-    cert_window: usize,
-    /// Probe attempts per window ([`GuoqOpts::cert_probes`]).
-    cert_probes: u64,
-    /// Iterations without a strict best-cost improvement before a
-    /// sweep starts ([`GuoqOpts::cert_plateau`]).
-    cert_plateau: u64,
-    /// Stamp coverage fraction that ends the run early
-    /// ([`GuoqOpts::cert_coverage`]).
-    cert_coverage: f64,
     /// Iteration index of the last strict best-cost improvement — the
     /// plateau clock. Equal-cost Metropolis accepts are the common case
     /// on a plateau, so the clock keys on strict improvements, never on
@@ -211,9 +216,9 @@ pub struct ShardDriver<'c> {
 
 impl<'c> ShardDriver<'c> {
     /// Creates a driver owning `circuit`, configured from `opts`
-    /// (temperature, ε budget, resynthesis probability, anchor bias,
-    /// history recording). `started` anchors history timestamps — pass
-    /// the search's global start so shard histories are coherent.
+    /// (temperature, ε budget, resynthesis probability, history
+    /// recording, cancellation). `started` anchors history timestamps —
+    /// pass the search's global start so shard histories are coherent.
     pub fn new(circuit: Circuit, cost: &'c dyn CostFn, opts: &GuoqOpts, started: Instant) -> Self {
         Self::with_scratch(circuit, cost, opts, started, MatchScratch::new())
     }
@@ -246,7 +251,7 @@ impl<'c> ShardDriver<'c> {
                 live: true,
             },
             cost,
-            ctx: SearchCtx::with_scratch(circuit, opts.dirty_window_bias, scratch),
+            ctx: SearchCtx::with_scratch(circuit, DIRTY_WINDOW_BIAS, scratch),
             cost_curr: c0,
             err_curr: 0.0,
             eps_budget: opts.eps_total,
@@ -259,7 +264,6 @@ impl<'c> ShardDriver<'c> {
             temperature: opts.temperature,
             resynth_probability: opts.resynth_probability,
             record_history: opts.record_history,
-            use_patches: true,
             started,
             cancel: opts.cancel.clone(),
             on_event: None,
@@ -271,10 +275,6 @@ impl<'c> ShardDriver<'c> {
             fam: [FamilyStats::default(); FAMILY_COUNT],
             certifying: false,
             certified: false,
-            cert_window: opts.cert_window.max(1),
-            cert_probes: opts.cert_probes.max(1),
-            cert_plateau: opts.cert_plateau.max(1),
-            cert_coverage: opts.cert_coverage,
             last_improve_iter: 0,
         }
     }
@@ -286,28 +286,13 @@ impl<'c> ShardDriver<'c> {
         self
     }
 
-    /// Selects the candidate-production path: `true` (default) for the
-    /// incremental patch path, `false` for the materializing
-    /// clone–rebuild baseline.
-    pub fn with_use_patches(mut self, use_patches: bool) -> Self {
-        self.use_patches = use_patches;
-        self
-    }
-
-    /// Arms certification ([`GuoqOpts::certify`]): installs the window
-    /// certificate map — seeded from [`GuoqOpts::cert_prior`] when one
-    /// is present — so the anchor sampler redraws away from certified
-    /// spans and the run loop can sweep and stamp once the search
-    /// plateaus. Requires the incremental patch path (certificates are
-    /// invalidated per accepted patch); a no-op when `opts.certify` is
-    /// unset or the driver materializes candidates. Call after
-    /// [`Self::with_use_patches`].
-    pub fn with_certification(mut self, opts: &GuoqOpts) -> Self {
-        if !(opts.certify && self.use_patches) {
-            return self;
-        }
+    /// Arms certification ([`crate::Engine::Certifying`]): installs the
+    /// window certificate map — seeded from `prior` when one is given —
+    /// so the anchor sampler redraws away from certified spans and the
+    /// run loop can sweep and stamp once the search plateaus.
+    pub fn with_certification(mut self, prior: Option<&qcert::Certificate>) -> Self {
         let len = self.ctx.circuit().len();
-        let map = match &opts.cert_prior {
+        let map = match prior {
             Some(prior) => qcert::CertMap::seed(len, prior),
             None => qcert::CertMap::new(),
         };
@@ -366,14 +351,6 @@ impl<'c> ShardDriver<'c> {
         matches!(&self.best, BestRepr::Journal { live: true, .. })
     }
 
-    /// Pins anchor-bias windows on the underlying [`SearchCtx`] (the
-    /// sharded engine seeds its boundary-qubit windows here with
-    /// [`GuoqOpts::boundary_bias`]).
-    pub fn with_pinned_windows(mut self, windows: Vec<(usize, usize)>, bias: f64) -> Self {
-        self.ctx.pin_windows(windows, bias);
-        self
-    }
-
     /// True once the driver's cancellation token (if any) was raised.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
@@ -387,6 +364,11 @@ impl<'c> ShardDriver<'c> {
     /// Iterations performed so far.
     pub fn iterations(&self) -> u64 {
         self.iterations
+    }
+
+    /// The tracked cost of the working circuit.
+    pub fn current_cost(&self) -> f64 {
+        self.cost_curr
     }
 
     /// True when a transformation declaring `eps` still fits the budget
@@ -434,14 +416,9 @@ impl<'c> ShardDriver<'c> {
             // clock reads are amortized to nothing; the fast path
             // carries no per-iteration timing at all.
             let t0 = self.instrument.then(Instant::now);
-            if self.use_patches {
-                if let Some(pa) = Transformation::apply_patch(t, &mut self.ctx, rng) {
-                    self.resynth_hits += 1;
-                    self.consider_patch(pa, Family::Resynth, rng);
-                }
-            } else if let Some(applied) = t.apply(self.ctx.circuit(), rng) {
+            if let Some(pa) = t.apply_patch(&mut self.ctx, rng) {
                 self.resynth_hits += 1;
-                self.consider_full(applied, Family::Resynth, rng);
+                self.consider_patch(pa, Family::Resynth, rng);
             }
             if let Some(t0) = t0 {
                 self.slow_ns += t0.elapsed().as_nanos() as u64;
@@ -456,26 +433,45 @@ impl<'c> ShardDriver<'c> {
     /// acceptance rule (the async driver's rewrite interleaving).
     pub fn fast_move(&mut self, fast: &[Box<dyn Transformation>], rng: &mut SmallRng) {
         let t = &fast[rng.random_range(0..fast.len())];
-        if self.use_patches && t.supports_patches() {
-            if let Some(pa) = t.apply_patch(&mut self.ctx, rng) {
-                let fam = t.family();
-                self.consider_patch(pa, fam, rng);
-            }
-        } else if let Some(applied) = t.apply(self.ctx.circuit(), rng) {
-            // Patch-less transformation (or the clone–rebuild baseline):
-            // fall back to the materializing API for this move.
+        if let Some(pa) = t.apply_patch(&mut self.ctx, rng) {
             let fam = t.family();
-            self.consider_full(applied, fam, rng);
+            self.consider_patch(pa, fam, rng);
         }
     }
 
-    /// Offers an asynchronously-produced resynthesis result: counts the
-    /// hit and runs the acceptance rule. Accepting replaces the whole
-    /// working circuit (discarding interim rewrite edits, as §5.3
-    /// prescribes).
-    pub fn offer_resynth(&mut self, applied: Applied, rng: &mut SmallRng) {
+    /// Offers an asynchronously-produced resynthesis result: `pa` is a
+    /// patch against `snapshot`, an earlier working circuit whose
+    /// tracked cost was `snapshot_cost`. Counts the hit and runs the
+    /// acceptance rule on `snapshot_cost` + [`CostFn::delta`]; only an
+    /// accepted result is applied, replacing the whole working circuit
+    /// (discarding interim rewrite edits, as §5.3 prescribes).
+    pub fn offer_resynth(
+        &mut self,
+        mut snapshot: Circuit,
+        snapshot_cost: f64,
+        pa: PatchApplied,
+        rng: &mut SmallRng,
+    ) {
         self.resynth_hits += 1;
-        self.consider_full(applied, Family::Resynth, rng);
+        let cost_new = snapshot_cost + self.cost.delta(&snapshot, &pa.patch);
+        if !metropolis_accepts(cost_new, self.cost_curr, self.temperature, rng) {
+            self.fam[Family::Resynth.index()].rejects += 1;
+            return;
+        }
+        snapshot.apply_patch(&pa.patch);
+        // A wholesale replacement has no patch form against the working
+        // circuit — a per-accept replacement would make the next delta
+        // O(accepts × circuit) — so the op trail is abandoned and the
+        // next `Improved` packages a single before/after diff instead
+        // (one op, never larger than a full snapshot).
+        if self.on_event.is_some() {
+            self.pending.clear();
+            self.pending_overflow = true;
+        } else {
+            self.invalidate_journal();
+        }
+        self.ctx.replace_circuit(snapshot);
+        self.record_accept(cost_new, pa.epsilon, Family::Resynth, None);
     }
 
     /// The plain budget loop: [`Self::step`] until `budget` is
@@ -510,7 +506,7 @@ impl<'c> ShardDriver<'c> {
             // equal-cost excursion above it would certify the wrong
             // circuit — wait for the walk to come back down).
             if self.certifying
-                && self.iterations - self.last_improve_iter >= self.cert_plateau
+                && self.iterations - self.last_improve_iter >= CERT_PLATEAU
                 && self.cost_curr <= self.cost_best
                 && self.certification_sweep(fast, slow, rng, budget, deadline)
             {
@@ -545,9 +541,9 @@ impl<'c> ShardDriver<'c> {
             else {
                 break;
             };
-            let hi = (lo + self.cert_window).min(span_hi);
+            let hi = (lo + CERT_WINDOW).min(span_hi);
             self.ctx.set_focus(Some((lo, hi)));
-            for probe in 0..self.cert_probes {
+            for probe in 0..CERT_PROBES {
                 if budget.exhausted(self.started, self.iterations)
                     || deadline.is_some_and(|d| Instant::now() >= d)
                     || self.is_cancelled()
@@ -556,7 +552,7 @@ impl<'c> ShardDriver<'c> {
                     return false;
                 }
                 self.begin_iteration();
-                if self.cert_probe(fast, slow, probe + 1 == self.cert_probes, rng) {
+                if self.cert_probe(fast, slow, probe + 1 == CERT_PROBES, rng) {
                     // Not locally optimal after all: the improvement is
                     // committed and the plateau clock reset — back to
                     // the ordinary search.
@@ -566,7 +562,7 @@ impl<'c> ShardDriver<'c> {
             }
             self.ctx.set_focus(None);
             if let Some(m) = self.ctx.cert_map_mut() {
-                m.stamp(lo, hi, self.cert_probes);
+                m.stamp(lo, hi, CERT_PROBES);
             }
         }
         let len = self.ctx.circuit().len();
@@ -577,7 +573,7 @@ impl<'c> ShardDriver<'c> {
                 .cert_map()
                 .map_or(0.0, |m| m.certified_gates() as f64 / len as f64)
         };
-        if coverage < self.cert_coverage {
+        if coverage < CERT_COVERAGE {
             return false;
         }
         // Equal-cost plateau accepts may have drifted the working
@@ -592,7 +588,7 @@ impl<'c> ShardDriver<'c> {
             let event = OptEvent::Certified {
                 coverage,
                 windows: self.ctx.cert_map().map_or(0, |m| m.windows()),
-                budget: self.cert_probes,
+                budget: CERT_PROBES,
                 iterations: self.iterations,
                 seconds: self.started.elapsed().as_secs_f64(),
             };
@@ -643,9 +639,6 @@ impl<'c> ShardDriver<'c> {
             return false;
         }
         let t = &fast[rng.random_range(0..fast.len())];
-        if !t.supports_patches() {
-            return false;
-        }
         match t.apply_patch(&mut self.ctx, rng) {
             Some(pa) => {
                 let fam = t.family();
@@ -731,32 +724,6 @@ impl<'c> ShardDriver<'c> {
         let op = (self.on_event.is_some() || self.journal_live()).then(|| pa.patch.clone());
         self.ctx.commit(&pa.patch);
         self.record_accept(cost_new, pa.epsilon, fam, op);
-    }
-
-    /// Acceptance for a fully materialized candidate (patch-less
-    /// transformations, the clone–rebuild baseline, and async
-    /// resynthesis results): replaces the working circuit wholesale.
-    /// There is no local op to record for the event stream — a
-    /// whole-circuit replacement per accept would make the next delta
-    /// O(accepts × circuit) — so the op trail is abandoned and the
-    /// next `Improved` packages a single before/after diff instead
-    /// (one op, never larger than a full snapshot).
-    fn consider_full(&mut self, applied: Applied, fam: Family, rng: &mut SmallRng) {
-        let cost_new = self.cost.cost(&applied.circuit);
-        if !metropolis_accepts(cost_new, self.cost_curr, self.temperature, rng) {
-            self.fam[fam.index()].rejects += 1;
-            return;
-        }
-        if self.on_event.is_some() {
-            self.pending.clear();
-            self.pending_overflow = true;
-        } else {
-            // A wholesale replacement has no patch form; the journal's
-            // op trail can no longer track the working circuit.
-            self.invalidate_journal();
-        }
-        self.ctx.replace_circuit(applied.circuit);
-        self.record_accept(cost_new, applied.epsilon, fam, None);
     }
 
     fn record_accept(&mut self, cost_new: f64, epsilon: f64, fam: Family, op: Option<Patch>) {
@@ -904,7 +871,7 @@ impl<'c> ShardDriver<'c> {
             .then(|| {
                 self.ctx
                     .cert_map()
-                    .map(|m| m.to_certificate(self.ctx.circuit().len(), self.cert_probes))
+                    .map(|m| m.to_certificate(self.ctx.circuit().len(), CERT_PROBES))
             })
             .flatten();
         // One registry flush per driver lifetime — the global

@@ -11,57 +11,28 @@
 //! # Iteration engines
 //!
 //! GUOQ is an *anytime* algorithm: solution quality is a direct function
-//! of iterations per second (paper §5, Fig. 7). Three engines drive the
-//! loop, all built on the same [`ShardDriver`](crate::driver::ShardDriver)
-//! (one Metropolis/budget implementation — no per-engine copies):
+//! of iterations per second (paper §5, Fig. 7). Every engine steps the
+//! same [`ShardDriver`](crate::driver::ShardDriver) over one working
+//! circuit inside a [`SearchCtx`](crate::transform::SearchCtx). Each
+//! candidate is a [`qcir::edit::Patch`] from
+//! [`Transformation::apply_patch`], priced by [`CostFn::delta`] in
+//! O(edit span); a rejected one is dropped without touching the circuit
+//! or the heap (`tests/alloc_guard.rs`), an accepted one is committed in
+//! place by [`Circuit::apply_patch`](qcir::Circuit::apply_patch).
 //!
-//! * [`Engine::Incremental`] (default) — the edit-based engine. The
-//!   search owns one working circuit inside a
-//!   [`SearchCtx`](crate::transform::SearchCtx); transformations probe
-//!   it through the arena's stable gate ids and embedded per-wire links
-//!   ([`Circuit::next_on_wire`](qcir::Circuit::next_on_wire) and
-//!   friends), so no side DAG is built or maintained. Each candidate
-//!   move is produced as a [`qcir::edit::Patch`] (a local edit: removed
-//!   indices + replacement + splice position) by the transformation's
-//!   [`apply_patch`](crate::transform::Transformation::apply_patch) path;
-//!   its cost change comes from [`CostFn::delta`] in O(edit span).
-//!   Rejected candidates are dropped without touching the circuit — or
-//!   the heap (`tests/alloc_guard.rs` pins this to zero allocations);
-//!   accepted ones are committed in place by
-//!   [`Circuit::apply_patch`](qcir::Circuit::apply_patch), which
-//!   retires/claims arena slots and relinks wires in O(edit-span), so
-//!   per-iteration work scales with the edit, not the circuit. (The
-//!   [`Circuit::revert_patch`](qcir::Circuit::revert_patch) inverse
-//!   exists for apply-then-decide flows that must measure post-apply
-//!   quantities.)
-//! * [`Engine::Sharded`] — the parallel engine: the circuit is
-//!   partitioned into contiguous shards
-//!   ([`qcir::shard::ShardPlan`]), a `qpar` worker pool runs one
-//!   incremental `ShardDriver` per shard, and a coordinator commits the
-//!   optimized shards back into the master circuit each epoch, rotating
-//!   shard boundaries between epochs (POPQC-style). See
-//!   [`crate::sharded`].
-//! * [`Engine::CloneRebuild`] — the original loop: each candidate clones
-//!   the circuit, rebuilds the DAG and recomputes the full cost. Kept as
-//!   the differential-testing baseline and for benchmarking
-//!   (`benches/guoq_iter.rs` measures both serial engines).
-//!
-//! The *patch machinery* is differentially tested against the legacy
-//! machinery (`tests/patch_differential.rs`): every single-match patch,
-//! DAG splice, and cost delta is bit-identical to the corresponding
-//! legacy rebuild. The engines are not trajectory-identical — an
-//! incremental iteration lands one local edit while a legacy iteration
-//! applies a whole pass, and a sharded run explores per-shard — so
-//! per-iteration search effort differs; all are verified to preserve
-//! semantics and report drift-free costs, and the benches compare them
-//! under equal wall-clock, where quality per second is the meaningful
-//! axis for an anytime search.
+//! [`Engine`] only schedules that driver — serially, with certification,
+//! with resynthesis on a worker thread (§5.3), or one driver per shard
+//! on a `qpar` pool ([`crate::sharded`]) — and each variant carries
+//! exactly the settings its engine reads, so no configuration that can
+//! be written is silently ignored. `tests/patch_differential.rs` checks
+//! the patches against the materializing rewrite passes and every
+//! engine for semantics and drift-free costs.
 
 use crate::cost::CostFn;
 use crate::driver::ShardDriver;
-use crate::observe::{BestSnapshot, CancelToken, EventSink, OptEvent, OptRun};
+use crate::observe::{CancelToken, EventSink, OptEvent, OptRun};
 use crate::transform::{
-    Applied, CleanupPass, CommutationPass, FusionPass, ResynthPass, RulePass, Transformation,
+    CleanupPass, CommutationPass, FusionPass, PatchApplied, ResynthPass, RulePass, Transformation,
 };
 use crossbeam_channel::bounded;
 use qcache::QCache;
@@ -72,31 +43,67 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which iteration engine drives the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Maximum random-subcircuit width for resynthesis (paper: 3).
+const MAX_SUBCIRCUIT_QUBITS: usize = 3;
+
+/// Iterations each shard runs between commits in [`Engine::sharded`]
+/// (the epoch cadence — smaller commits more often, larger amortizes
+/// the commit/rotate overhead over more search).
+pub const DEFAULT_SLICE_ITERATIONS: u64 = 4096;
+
+/// Which iteration engine drives the search. Each variant carries the
+/// settings only that engine reads.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Engine {
-    /// Patch-based incremental engine: one working circuit probed via
-    /// the arena's stable gate ids and embedded wire links, O(edit-span)
-    /// slot retire/claim per accepted edit, and O(edit-span) cost
-    /// deltas. Per-iteration work scales with the edit, not the
-    /// circuit.
+    /// One [`ShardDriver`] over the whole circuit on the calling
+    /// thread: O(edit-span) slot retire/claim per accepted edit and
+    /// O(edit-span) cost deltas, so per-iteration work scales with the
+    /// edit, not the circuit.
     #[default]
-    Incremental,
-    /// The original clone–rebuild–rescan loop: every candidate
-    /// transformation materializes a fresh circuit, rebuilds the DAG and
-    /// recomputes the full cost. Kept as the differential-testing and
-    /// benchmarking baseline.
-    CloneRebuild,
+    Serial,
+    /// [`Engine::Serial`] plus POPQC-style local-optimality
+    /// certification ([`qcert`]): once the best cost plateaus, the
+    /// search stamps windows that survive a fixed number of probes, and
+    /// when stamps cover enough of the circuit it stops early, emitting
+    /// [`OptEvent`]`::Certified` and returning
+    /// [`GuoqResult::certificate`]. Its trajectory differs from
+    /// [`Engine::Serial`]'s under the same seed.
+    Certifying {
+        /// Certificate to seed the sweep with (an EDIT re-optimization
+        /// passes the finished job's rebased certificate, so still-valid
+        /// windows start certified).
+        prior: Option<qcert::Certificate>,
+    },
+    /// §5.3 "applying resynthesis asynchronously": resynthesis runs on
+    /// a worker thread against a snapshot while rewrites keep
+    /// iterating; an accepted result replaces the working circuit,
+    /// discarding the interim rewrite edits. Results depend on thread
+    /// timing. Without a resynthesis pass (e.g.
+    /// [`Guoq::rewrite_only`]) there is nothing to run asynchronously
+    /// and the search is exactly [`Engine::Serial`].
+    Async,
     /// Region-partitioned parallel search: `workers` threads each drive
-    /// an incremental [`ShardDriver`] over a contiguous shard of the
-    /// circuit; a coordinator commits shard results and rotates shard
-    /// boundaries every epoch (see [`crate::sharded`]). Resynthesis
-    /// runs synchronously inside each worker;
-    /// [`GuoqOpts::async_resynth`] is ignored.
+    /// a [`ShardDriver`] over a contiguous shard of the circuit; a
+    /// coordinator commits shard results and rotates shard boundaries
+    /// every epoch (see [`crate::sharded`]). Resynthesis runs
+    /// synchronously inside each worker.
     Sharded {
         /// Worker threads in the shard pool (clamped to ≥ 1).
         workers: usize,
+        /// Iterations each shard runs between commits (clamped to ≥ 1).
+        slice_iterations: u64,
     },
+}
+
+impl Engine {
+    /// The sharded engine with `workers` threads and the default epoch
+    /// cadence ([`DEFAULT_SLICE_ITERATIONS`]).
+    pub fn sharded(workers: usize) -> Self {
+        Engine::Sharded {
+            workers,
+            slice_iterations: DEFAULT_SLICE_ITERATIONS,
+        }
+    }
 }
 
 /// Search budget.
@@ -119,7 +126,8 @@ impl Budget {
     }
 }
 
-/// Options for [`Guoq`].
+/// Options for [`Guoq`]. Every field is honoured by every engine;
+/// engine-specific settings live on [`Engine`]'s variants.
 #[derive(Debug, Clone)]
 pub struct GuoqOpts {
     /// Search budget.
@@ -130,34 +138,12 @@ pub struct GuoqOpts {
     pub temperature: f64,
     /// Probability of choosing resynthesis per iteration (paper: 1.5%).
     pub resynth_probability: f64,
-    /// Maximum random-subcircuit width for resynthesis (paper: 3).
-    pub max_subcircuit_qubits: usize,
     /// RNG seed.
     pub seed: u64,
     /// Record a best-cost-over-time trace (Fig. 7).
     pub record_history: bool,
-    /// Run resynthesis on a worker thread, interleaving rewrites while it
-    /// runs, and discard interim edits when a result is accepted (§5.3).
-    /// Only meaningful for the serial engines; [`Engine::Sharded`]
-    /// ignores it — its workers already run concurrently and perform
-    /// resynthesis synchronously within their shard slices.
-    pub async_resynth: bool,
-    /// Iteration engine (patch-based incremental by default).
+    /// Iteration engine (serial by default).
     pub engine: Engine,
-    /// Probability that a transformation probe anchors inside a
-    /// recently-edited window instead of sampling uniformly (accepted
-    /// edits cluster, so re-probing near them raises the hit rate).
-    /// `0.0` disables the bias; sampling is always uniform until the
-    /// first edit is committed, and the value is clamped to ≤ 0.9 so
-    /// uniform exploration never fully stops.
-    pub dirty_window_bias: f64,
-    /// Sharded engine: iterations each shard runs between commits (the
-    /// epoch cadence — smaller commits more often, larger amortizes the
-    /// commit/rotate overhead over more search).
-    pub shard_slice_iterations: u64,
-    /// Sharded engine: shards per worker per epoch (> 1 oversubscribes
-    /// the task queue so fast workers steal from slow ones).
-    pub shards_per_worker: usize,
     /// Cooperative cancellation: every engine checks the token between
     /// iterations (workers between shard-slice iterations, the
     /// coordinator between epochs) and returns its best-so-far result
@@ -178,45 +164,6 @@ pub struct GuoqOpts {
     /// reproducibility holds only for a fixed starting cache state
     /// (e.g. every run on a fresh cache, or none).
     pub cache: Option<Arc<QCache>>,
-    /// Sharded engine: probability that a probe anchors inside a window
-    /// of gates touching the shard's boundary qubits (freshly seeded
-    /// after every boundary rotation), ahead of the dirty-window roll.
-    /// Targets cross-shard cancellations right after each rotation.
-    /// `0.0` (the default) disables the bias and the boundary-qubit
-    /// bookkeeping; clamped to ≤ 0.9 so uniform exploration survives.
-    /// Serial engines ignore it (they have no boundaries).
-    pub boundary_bias: f64,
-    /// POPQC-style local-optimality certification (see [`qcert`]): once
-    /// the best cost plateaus for [`cert_plateau`](Self::cert_plateau)
-    /// iterations, the search sweeps the circuit window by window,
-    /// stamping each one that survives
-    /// [`cert_probes`](Self::cert_probes) probe attempts without a
-    /// strict improvement. Stamps are invalidated the moment an
-    /// accepted patch overlaps them, certified spans are skipped by the
-    /// anchor sampler, and when stamped coverage reaches
-    /// [`cert_coverage`](Self::cert_coverage) the run terminates early
-    /// — emitting [`OptEvent`]`::Certified` and attaching the full
-    /// [`qcert::Certificate`] to [`GuoqResult::certificate`]. Off by
-    /// default: certification changes the anchor-sampling trajectory,
-    /// so per-seed reproducibility against uncertified runs does not
-    /// hold. Honored by the serial [`Engine::Incremental`] path only;
-    /// the sharded, async, and clone–rebuild paths ignore it.
-    pub certify: bool,
-    /// Certification window length, in gates.
-    pub cert_window: usize,
-    /// Probe attempts a window must survive to earn its stamp.
-    pub cert_probes: u64,
-    /// Iterations without a strict best-cost improvement before a
-    /// certification sweep starts.
-    pub cert_plateau: u64,
-    /// Fraction of gates that must be covered by stamps for the run to
-    /// terminate early.
-    pub cert_coverage: f64,
-    /// Prior certificate to seed the sweep with. An EDIT
-    /// re-optimization rebases the finished job's certificate over the
-    /// client's delta and passes it here: still-valid windows start
-    /// certified, so the search concentrates on the dirtied spans.
-    pub cert_prior: Option<qcert::Certificate>,
 }
 
 impl Default for GuoqOpts {
@@ -226,23 +173,11 @@ impl Default for GuoqOpts {
             eps_total: 1e-8,
             temperature: 10.0,
             resynth_probability: 0.015,
-            max_subcircuit_qubits: 3,
             seed: 0xCAFE,
             record_history: false,
-            async_resynth: false,
-            engine: Engine::Incremental,
-            dirty_window_bias: 0.25,
-            shard_slice_iterations: 4096,
-            shards_per_worker: 2,
+            engine: Engine::Serial,
             cancel: None,
             cache: None,
-            boundary_bias: 0.0,
-            certify: false,
-            cert_window: 24,
-            cert_probes: 96,
-            cert_plateau: 2048,
-            cert_coverage: 0.9,
-            cert_prior: None,
         }
     }
 }
@@ -293,10 +228,9 @@ pub struct GuoqResult {
     /// the tallies always count.
     pub profile: qtrace::Profile,
     /// The local-optimality certificate: the surviving window stamps of
-    /// a certification-enabled run ([`GuoqOpts::certify`]) that
-    /// completed its sweep and terminated early. `None` for ordinary
-    /// runs and for certify runs that exhausted their budget before
-    /// covering the circuit.
+    /// an [`Engine::Certifying`] run that completed its sweep and
+    /// terminated early. `None` for other engines and for certifying
+    /// runs that exhausted their budget before covering the circuit.
     pub certificate: Option<qcert::Certificate>,
 }
 
@@ -328,7 +262,7 @@ impl Guoq {
     fn resynth_pass(set: GateSet, opts: &GuoqOpts) -> ResynthPass {
         let eps = (opts.eps_total / 8.0).max(1e-12);
         let rs = shared_resynthesizer(set, ResynthProfile::Fast);
-        ResynthPass::new(rs, opts.max_subcircuit_qubits, eps).with_cache(opts.cache.clone())
+        ResynthPass::new(rs, MAX_SUBCIRCUIT_QUBITS, eps).with_cache(opts.cache.clone())
     }
 
     /// Ablation: rewrite rules (and exact passes) only — `GUOQ-REWRITE`.
@@ -444,40 +378,6 @@ impl Guoq {
         OptRun::new(rx, cancel, handle)
     }
 
-    /// **Legacy shim** over the event stream: `on_best` is invoked with
-    /// a borrowed [`crate::observe::BestSnapshot`] for every
-    /// [`OptEvent::Improved`]. Kept so pre-event-stream callers keep
-    /// compiling; new consumers should use [`Self::optimize_events`] or
-    /// [`Self::run`] and take the typed events (deltas included). The
-    /// final result is identical to [`Self::optimize`] under the same
-    /// options — observation never perturbs the search trajectory.
-    pub fn optimize_observed(
-        &self,
-        circuit: &Circuit,
-        cost: &dyn CostFn,
-        on_best: &mut dyn FnMut(&BestSnapshot<'_>),
-    ) -> GuoqResult {
-        let mut adapter = |ev: &OptEvent, best: &Circuit| {
-            if let OptEvent::Improved {
-                cost,
-                epsilon,
-                iterations,
-                seconds,
-                ..
-            } = *ev
-            {
-                on_best(&BestSnapshot {
-                    circuit: best,
-                    cost,
-                    epsilon,
-                    iterations,
-                    seconds,
-                });
-            }
-        };
-        self.dispatch(circuit, cost, Some(&mut adapter))
-    }
-
     /// Sum of the slow passes' (cache hit, cache miss) counters.
     fn cache_counters(&self) -> (u64, u64) {
         self.slow
@@ -495,13 +395,15 @@ impl Guoq {
         // The pass counters are cumulative over the Guoq instance (and
         // shared with async worker clones); report this run's delta.
         let (hits0, misses0) = self.cache_counters();
-        let has_async = self.opts.async_resynth && !self.slow.is_empty();
-        let mut result = match self.opts.engine {
-            Engine::Sharded { workers } => self.optimize_sharded(circuit, cost, workers, obs),
-            Engine::Incremental if has_async => self.optimize_async(circuit, cost, true, obs),
-            Engine::Incremental => self.optimize_serial(circuit, cost, true, obs),
-            Engine::CloneRebuild if has_async => self.optimize_async(circuit, cost, false, obs),
-            Engine::CloneRebuild => self.optimize_serial(circuit, cost, false, obs),
+        let mut result = match &self.opts.engine {
+            Engine::Sharded {
+                workers,
+                slice_iterations,
+            } => self.optimize_sharded(circuit, cost, *workers, *slice_iterations, obs),
+            Engine::Async if !self.slow.is_empty() => self.optimize_async(circuit, cost, obs),
+            Engine::Serial | Engine::Certifying { .. } | Engine::Async => {
+                self.optimize_serial(circuit, cost, obs)
+            }
         };
         let (hits1, misses1) = self.cache_counters();
         result.cache_hits = hits1 - hits0;
@@ -509,51 +411,49 @@ impl Guoq {
         result
     }
 
-    /// The serial driver for both single-thread engines: one
-    /// [`ShardDriver`] over the whole circuit, stepped until the budget
-    /// runs out. `use_patches` selects the incremental patch path
-    /// ([`Engine::Incremental`]) or the materializing clone–rebuild
-    /// baseline ([`Engine::CloneRebuild`]).
+    /// The serial driver: one [`ShardDriver`] over the whole circuit,
+    /// stepped until the budget runs out — with certification armed for
+    /// [`Engine::Certifying`].
     fn optimize_serial<'a>(
         &'a self,
         circuit: &Circuit,
         cost: &'a dyn CostFn,
-        use_patches: bool,
         obs: Option<&'a mut EventSink<'a>>,
     ) -> GuoqResult {
         let mut rng = SmallRng::seed_from_u64(self.opts.seed);
-        let mut driver = ShardDriver::new(circuit.clone(), cost, &self.opts, Instant::now())
-            .with_use_patches(use_patches)
-            .with_certification(&self.opts)
-            .with_event_sink(obs);
+        let mut driver = ShardDriver::new(circuit.clone(), cost, &self.opts, Instant::now());
+        if let Engine::Certifying { prior } = &self.opts.engine {
+            driver = driver.with_certification(prior.as_ref());
+        }
+        let mut driver = driver.with_event_sink(obs);
         driver.run(&self.fast, &self.slow, &mut rng, self.opts.budget, None);
         driver.finish()
     }
 
     /// §5.3 "Applying resynthesis asynchronously": fast rewrites run
     /// against the working circuit while resynthesis works on a snapshot
-    /// clone in a worker thread. An accepted resynthesis result replaces
-    /// the whole working circuit (discarding interim rewrite edits, as
-    /// §5.3 prescribes) — the one remaining O(circuit) event in the
-    /// incremental flavour; it happens at the resynthesis rate, not the
-    /// iteration rate.
+    /// in a worker thread. The worker returns its edit as a patch
+    /// against that snapshot; the driver prices it as the snapshot's
+    /// cost plus [`CostFn::delta`], and only an accepted result is
+    /// applied — replacing the whole working circuit and discarding
+    /// interim rewrite edits, as §5.3 prescribes. That replacement is
+    /// the one O(circuit) event in this engine; it happens at the
+    /// resynthesis rate, not the iteration rate.
     fn optimize_async<'a>(
         &'a self,
         circuit: &Circuit,
         cost: &'a dyn CostFn,
-        use_patches: bool,
         obs: Option<&'a mut EventSink<'a>>,
     ) -> GuoqResult {
         use crossbeam_channel::TryRecvError;
 
-        type Req = (u64, Circuit, qcir::Region, u64);
-        type Resp = (u64, Option<Applied>);
+        type Req = (Circuit, qcir::Region, u64);
+        type Resp = (Circuit, Option<PatchApplied>);
 
         let mut rng = SmallRng::seed_from_u64(self.opts.seed);
         let started = Instant::now();
-        let mut driver = ShardDriver::new(circuit.clone(), cost, &self.opts, started)
-            .with_use_patches(use_patches)
-            .with_event_sink(obs);
+        let mut driver =
+            ShardDriver::new(circuit.clone(), cost, &self.opts, started).with_event_sink(obs);
 
         let (req_tx, req_rx) = bounded::<Req>(1);
         let (resp_tx, resp_rx) = bounded::<Resp>(1);
@@ -567,49 +467,48 @@ impl Guoq {
         let worker_slow_ns = Arc::clone(&slow_ns);
         let instrument = qtrace::enabled();
         let worker = std::thread::spawn(move || {
-            while let Ok((id, snapshot, region, seed)) = req_rx.recv() {
+            while let Ok((snapshot, region, seed)) = req_rx.recv() {
                 let mut wrng = SmallRng::seed_from_u64(seed);
                 let t0 = instrument.then(Instant::now);
-                let applied = worker_pass.resynthesize_region(&snapshot, &region, &mut wrng);
+                let pa = worker_pass.resynthesize_region_patch(&snapshot, &region, &mut wrng);
                 if let Some(t0) = t0 {
                     worker_slow_ns.add(t0.elapsed().as_nanos() as u64);
                 }
-                if resp_tx.send((id, applied)).is_err() {
+                if resp_tx.send((snapshot, pa)).is_err() {
                     break;
                 }
             }
         });
 
-        let mut in_flight = false;
-        let mut next_id = 0u64;
+        // Tracked cost of the snapshot in flight (the working circuit's
+        // cost when it was sent).
+        let mut in_flight: Option<f64> = None;
         while !self.opts.budget.exhausted(started, driver.iterations()) && !driver.is_cancelled() {
             driver.begin_iteration();
             // Drain any finished resynthesis first.
             match resp_rx.try_recv() {
-                Ok((_id, applied)) => {
-                    in_flight = false;
-                    if let Some(applied) = applied {
-                        // The candidate replaces the snapshot; accepting
-                        // it discards every interim rewrite (§5.3).
-                        driver.offer_resynth(applied, &mut rng);
+                Ok((snapshot, pa)) => {
+                    let snapshot_cost = in_flight.take().expect("a response answers a request");
+                    if let Some(pa) = pa {
+                        driver.offer_resynth(snapshot, snapshot_cost, pa, &mut rng);
                     }
                 }
                 Err(TryRecvError::Empty) => {}
                 Err(TryRecvError::Disconnected) => break,
             }
-            let want_slow = !in_flight && rng.random::<f64>() < self.opts.resynth_probability;
+            let want_slow =
+                in_flight.is_none() && rng.random::<f64>() < self.opts.resynth_probability;
             if want_slow {
                 if !driver.can_afford(self.slow[0].epsilon()) {
                     continue;
                 }
                 if let Some(region) = self.slow[0].pick_region(driver.circuit(), &mut rng) {
-                    next_id += 1;
                     let seed = rng.random::<u64>();
                     if req_tx
-                        .send((next_id, driver.circuit().clone(), region, seed))
+                        .send((driver.circuit().clone(), region, seed))
                         .is_ok()
                     {
-                        in_flight = true;
+                        in_flight = Some(driver.current_cost());
                     }
                 }
             } else if !self.fast.is_empty() {
@@ -618,9 +517,9 @@ impl Guoq {
         }
         drop(req_tx);
         // Drain a possibly in-flight result so the worker can exit.
-        if in_flight {
-            if let Ok((_id, Some(applied))) = resp_rx.recv() {
-                driver.offer_resynth(applied, &mut rng);
+        if let Some(snapshot_cost) = in_flight {
+            if let Ok((snapshot, Some(pa))) = resp_rx.recv() {
+                driver.offer_resynth(snapshot, snapshot_cost, pa, &mut rng);
             }
         }
         drop(resp_rx);
@@ -721,7 +620,7 @@ mod tests {
     fn async_mode_matches_semantics() {
         let c = redundant_circuit();
         let mut o = opts(400);
-        o.async_resynth = true;
+        o.engine = Engine::Async;
         o.resynth_probability = 0.3;
         let g = Guoq::for_gate_set(GateSet::Nam, o);
         let r = g.optimize(&c, &TwoQubitCount);
@@ -769,7 +668,6 @@ mod tests {
         let c = redundant_circuit();
         let mut o = opts(iters);
         o.engine = engine;
-        o.shard_slice_iterations = 128;
         let direct = Guoq::rewrite_only(GateSet::Nam, o.clone()).optimize(&c, &GateCount);
         let mut events = Vec::new();
         let observed =
@@ -797,12 +695,7 @@ mod tests {
 
     #[test]
     fn event_stream_replays_incremental_engine() {
-        assert_event_stream_replays(Engine::Incremental, 400);
-    }
-
-    #[test]
-    fn event_stream_replays_clone_rebuild_engine() {
-        assert_event_stream_replays(Engine::CloneRebuild, 400);
+        assert_event_stream_replays(Engine::Serial, 400);
     }
 
     #[test]
@@ -815,8 +708,10 @@ mod tests {
         }
         let o = GuoqOpts {
             budget: Budget::Iterations(4000),
-            engine: Engine::Sharded { workers: 2 },
-            shard_slice_iterations: 128,
+            engine: Engine::Sharded {
+                workers: 2,
+                slice_iterations: 128,
+            },
             seed: 3,
             ..Default::default()
         };
@@ -838,7 +733,7 @@ mod tests {
     fn event_stream_replays_async_resynth_engine() {
         let c = redundant_circuit();
         let mut o = opts(400);
-        o.async_resynth = true;
+        o.engine = Engine::Async;
         o.resynth_probability = 0.3;
         let mut events = Vec::new();
         let r = Guoq::for_gate_set(GateSet::Nam, o).optimize_events(
@@ -894,12 +789,14 @@ mod tests {
 
         let mut costs: Vec<f64> = Vec::new();
         let mut last: Option<Circuit> = None;
-        let observed = Guoq::rewrite_only(GateSet::Nam, opts(400)).optimize_observed(
+        let observed = Guoq::rewrite_only(GateSet::Nam, opts(400)).optimize_events(
             &c,
             &GateCount,
-            &mut |snap| {
-                costs.push(snap.cost);
-                last = Some(snap.circuit.clone());
+            &mut |ev, best| {
+                if let OptEvent::Improved { cost, .. } = ev {
+                    costs.push(*cost);
+                    last = Some(best.clone());
+                }
             },
         );
 
@@ -929,14 +826,20 @@ mod tests {
         }
         let o = GuoqOpts {
             budget: Budget::Iterations(4000),
-            engine: Engine::Sharded { workers: 2 },
-            shard_slice_iterations: 128,
+            engine: Engine::Sharded {
+                workers: 2,
+                slice_iterations: 128,
+            },
             seed: 3,
             ..Default::default()
         };
         let mut costs: Vec<f64> = Vec::new();
-        let r = Guoq::rewrite_only(GateSet::Nam, o)
-            .optimize_observed(&c, &GateCount, &mut |s| costs.push(s.cost));
+        let r =
+            Guoq::rewrite_only(GateSet::Nam, o).optimize_events(&c, &GateCount, &mut |ev, _| {
+                if let OptEvent::Improved { cost, .. } = ev {
+                    costs.push(*cost);
+                }
+            });
         assert!(!costs.is_empty());
         for w in costs.windows(2) {
             assert!(w[1] < w[0]);
@@ -965,9 +868,13 @@ mod tests {
         o.cancel = Some(token.clone());
         let g = Guoq::rewrite_only(GateSet::Nam, o);
         let t = token.clone();
-        // Cancel from the observer after the first improvement: the run
+        // Cancel from the sink after the first improvement: the run
         // must wind down promptly instead of spinning forever.
-        let r = g.optimize_observed(&c, &GateCount, &mut move |_| t.cancel());
+        let r = g.optimize_events(&c, &GateCount, &mut move |ev, _| {
+            if matches!(ev, OptEvent::Improved { .. }) {
+                t.cancel();
+            }
+        });
         assert!(r.iterations > 0);
         assert!(r.cost < c.len() as f64);
         assert!(qsim::circuits_equivalent(&c, &r.circuit, 1e-6));
@@ -1012,9 +919,7 @@ mod tests {
     fn certification_terminates_plateaued_run_early() {
         let c = redundant_circuit();
         let mut o = opts(2_000_000);
-        o.certify = true;
-        o.cert_plateau = 500;
-        o.cert_probes = 32;
+        o.engine = Engine::Certifying { prior: None };
         let mut events = Vec::new();
         let r =
             Guoq::rewrite_only(GateSet::Nam, o)
@@ -1053,9 +958,7 @@ mod tests {
     fn certification_without_observer_matches_and_certifies() {
         let c = redundant_circuit();
         let mut o = opts(2_000_000);
-        o.certify = true;
-        o.cert_plateau = 500;
-        o.cert_probes = 32;
+        o.engine = Engine::Certifying { prior: None };
         let r = Guoq::rewrite_only(GateSet::Nam, o).optimize(&c, &GateCount);
         assert!(r.iterations < 2_000_000);
         let cert = r.certificate.expect("journal-mode runs certify too");
@@ -1069,12 +972,11 @@ mod tests {
         // run certify at the first plateau check without re-probing.
         let c = redundant_circuit();
         let mut o = opts(2_000_000);
-        o.certify = true;
-        o.cert_plateau = 100;
+        o.engine = Engine::Certifying { prior: None };
         let base = Guoq::rewrite_only(GateSet::Nam, o.clone()).optimize(&c, &GateCount);
         let cert = base.certificate.clone().expect("base run certifies");
         let mut o2 = o;
-        o2.cert_prior = Some(cert);
+        o2.engine = Engine::Certifying { prior: Some(cert) };
         let again = Guoq::rewrite_only(GateSet::Nam, o2).optimize(&base.circuit, &GateCount);
         assert!(again.certificate.is_some());
         assert!(
@@ -1088,19 +990,26 @@ mod tests {
     #[test]
     fn dirty_window_bias_is_behavior_preserving() {
         // The bias changes the probe distribution, never soundness: with
-        // the knob at its extremes the search still preserves semantics
-        // and never worsens cost.
+        // the bias at its extremes, greedy search through the context
+        // still preserves semantics and never worsens cost.
         let c = redundant_circuit();
+        let g = Guoq::rewrite_only(GateSet::Nam, opts(0));
+        let (fast, _) = g.pools();
         for bias in [0.0, 0.9] {
-            let mut o = opts(400);
-            o.dirty_window_bias = bias;
-            let g = Guoq::rewrite_only(GateSet::Nam, o);
-            let r = g.optimize(&c, &GateCount);
-            assert!(r.cost <= c.len() as f64, "bias {bias}");
-            assert!(
-                qsim::circuits_equivalent(&c, &r.circuit, 1e-6),
-                "bias {bias}"
-            );
+            let scratch = qrewrite::MatchScratch::new();
+            let mut ctx = crate::SearchCtx::with_scratch(c.clone(), bias, scratch);
+            let mut rng = SmallRng::seed_from_u64(7);
+            for _ in 0..400 {
+                let t = &fast[rng.random_range(0..fast.len())];
+                if let Some(pa) = t.apply_patch(&mut ctx, &mut rng) {
+                    if GateCount.delta(ctx.circuit(), &pa.patch) <= 0.0 {
+                        ctx.commit(&pa.patch);
+                    }
+                }
+            }
+            let out = ctx.circuit();
+            assert!(out.len() <= c.len(), "bias {bias}");
+            assert!(qsim::circuits_equivalent(&c, out, 1e-6), "bias {bias}");
         }
     }
 }

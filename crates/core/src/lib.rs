@@ -9,14 +9,13 @@
 //! * [`cost`] / [`fidelity`]: optimization objectives (§5.1, §6)
 //! * [`driver`]: the single-shard search driver — Algorithm 1's
 //!   Metropolis/budget state, shared by every engine
-//! * [`guoq`]: Algorithm 1 with exact ε-budget accounting (Thm. 4.2/5.3)
-//!   and the §5.3 async-resynthesis driver
+//! * [`guoq`]: Algorithm 1 with exact ε-budget accounting (Thm. 4.2/5.3),
+//!   the typed [`Engine`] choice, and the §5.3 async-resynthesis engine
 //! * [`observe`]: the event-sourced optimization stream — typed
 //!   [`OptEvent`]s with [`qcir::delta::CircuitDelta`] payloads, the
 //!   [`OptRun`] handle ([`Guoq::run`]), the synchronous sink
-//!   ([`Guoq::optimize_events`]), cooperative cancellation
-//!   ([`CancelToken`]), and the legacy [`BestSnapshot`] shim — the
-//!   hooks the `qserve` service layer builds on
+//!   ([`Guoq::optimize_events`]) and cooperative cancellation
+//!   ([`CancelToken`]) — the hooks the `qserve` service layer builds on
 //! * [`sharded`]: the region-partitioned parallel engine
 //!   ([`Engine::Sharded`]) over the `qpar` worker pool
 //! * [`baselines`]: re-implemented archetypes of the comparison tools
@@ -48,10 +47,12 @@ pub mod transform;
 pub use cost::CostFn;
 pub use driver::ShardDriver;
 pub use fidelity::CalibrationModel;
-pub use guoq::{Budget, Engine, Guoq, GuoqOpts, GuoqResult, HistoryPoint};
-pub use observe::{BestSnapshot, CancelToken, OptEvent, OptRun};
+pub use guoq::{
+    Budget, Engine, Guoq, GuoqOpts, GuoqResult, HistoryPoint, DEFAULT_SLICE_ITERATIONS,
+};
+pub use observe::{CancelToken, OptEvent, OptRun};
 pub use qcache::{CacheStats, QCache, QCacheOpts};
 pub use qcert::{CertMap, Certificate, Stamp};
 pub use qpar::WorkerStats;
 pub use qtrace::{Family, FamilyStats, Profile};
-pub use transform::{Applied, PatchApplied, SearchCtx, Transformation};
+pub use transform::{PatchApplied, SearchCtx, Transformation};

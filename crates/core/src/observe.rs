@@ -9,7 +9,8 @@
 //! * [`OptEvent::Improved`] — on every strict best-cost improvement,
 //!   carrying a [`qcir::delta::CircuitDelta`] from the *previous* best
 //!   to the new one (O(edits), not O(circuit)): the serial engines
-//!   package the accepted patches since the last improvement, the
+//!   package the accepted patches since the last improvement, the async
+//!   engine diffs across a wholesale resynthesis replacement, and the
 //!   sharded engine diffs consecutive committed masters.
 //! * [`OptEvent::EpochCommitted`] — the sharded engine's per-epoch
 //!   commit heartbeat (serial engines never emit it).
@@ -35,19 +36,15 @@
 //!   invokes a callback `FnMut(&OptEvent, &Circuit)` inline on the
 //!   search (or coordinator) thread; the second argument is the
 //!   best-so-far circuit at that event, so consumers that want full
-//!   snapshots (a v1 wire peer, the legacy
-//!   [`BestSnapshot`] shim) need not replay deltas themselves. An
+//!   snapshots (a v1 wire peer) need not replay deltas themselves. An
 //!   expensive sink slows the search — hand events off (serialize and
 //!   push into a bounded channel) rather than doing I/O inline.
 //! * **Handle** — [`Guoq::run`](crate::Guoq::run) spawns the search on
 //!   a worker thread and returns an [`OptRun`] that yields owned
 //!   events ([`Iterator`]); the consumer paces the stream.
 //!
-//! The pre-event API survives as thin shims:
-//! [`Guoq::optimize`](crate::Guoq::optimize) ignores the stream and
-//! [`Guoq::optimize_observed`](crate::Guoq::optimize_observed) adapts
-//! `Improved` events back into borrowed [`BestSnapshot`]s. Both are
-//! kept for compatibility; new consumers should take the stream.
+//! [`Guoq::optimize`](crate::Guoq::optimize) is the blocking
+//! convenience entry point: the same run with the stream discarded.
 //!
 //! Strict improvements are bounded by the total cost descent — not the
 //! accept rate — so event traffic is small even for long runs, and the
@@ -161,25 +158,6 @@ impl OptEvent {
             }
         }
     }
-}
-
-/// One strict-improvement notification of the **legacy** observer API:
-/// a borrowed view of the new best-so-far circuit and the search
-/// counters at that instant. Kept so pre-event-stream callers
-/// ([`crate::Guoq::optimize_observed`]) keep compiling; it is now an
-/// adapter over [`OptEvent::Improved`].
-#[derive(Debug, Clone, Copy)]
-pub struct BestSnapshot<'a> {
-    /// The new best circuit (borrowed — clone or serialize to keep it).
-    pub circuit: &'a Circuit,
-    /// Its cost under the search objective.
-    pub cost: f64,
-    /// Accumulated approximation error of this circuit (≤ `ε_f`).
-    pub epsilon: f64,
-    /// Iterations performed when the improvement landed.
-    pub iterations: u64,
-    /// Seconds since the search started.
-    pub seconds: f64,
 }
 
 /// The synchronous event sink's trait-object type: invoked with each

@@ -39,6 +39,10 @@ use std::time::Instant;
 /// (boundary rotation can halve an edge window in odd epochs).
 const MIN_SHARD_LEN: usize = 32;
 
+/// Shards per worker per epoch: more than one oversubscribes the task
+/// queue so fast workers steal from slow ones.
+const SHARDS_PER_WORKER: usize = 2;
+
 /// One pool worker: drives Algorithm 1 over each shard task it pulls,
 /// borrowing the optimizer's transformation pools and recycling one
 /// matcher scratch across all its tasks.
@@ -67,42 +71,10 @@ impl<'a> ShardWorker<'a> {
     }
 }
 
-/// The index windows of `circuit`'s gates that act on at least one of
-/// `qubits`, as maximal runs of consecutive indices — the probe targets
-/// for boundary-biased anchor sampling.
-fn boundary_windows(circuit: &Circuit, qubits: &[qcir::Qubit]) -> Vec<(usize, usize)> {
-    let mut on_boundary = vec![false; circuit.num_qubits()];
-    for &q in qubits {
-        if let Some(slot) = on_boundary.get_mut(q as usize) {
-            *slot = true;
-        }
-    }
-    let mut windows: Vec<(usize, usize)> = Vec::new();
-    for (i, ins) in circuit.iter().enumerate() {
-        if !ins.qubits().iter().any(|&q| on_boundary[q as usize]) {
-            continue;
-        }
-        match windows.last_mut() {
-            Some((_, hi)) if *hi == i => *hi = i + 1,
-            _ => windows.push((i, i + 1)),
-        }
-    }
-    windows
-}
-
 impl ShardOptimizer for ShardWorker<'_> {
     fn optimize_shard(&mut self, task: ShardTask) -> ShardOutcome {
         let (fast, slow) = self.guoq.pools();
         let mut rng = SmallRng::seed_from_u64(task.seed);
-        // Boundary-biased probing (ROADMAP sharding follow-on (a)):
-        // right after each rotation the fresh plan's boundary qubits
-        // arrive on the task; pin their gate windows so probes seek the
-        // cross-shard cancellations the rotation just exposed.
-        let pinned = if self.opts.boundary_bias > 0.0 && !task.boundary_qubits.is_empty() {
-            boundary_windows(&task.circuit, &task.boundary_qubits)
-        } else {
-            Vec::new()
-        };
         let mut driver = ShardDriver::with_scratch(
             task.circuit,
             self.cost,
@@ -110,8 +82,7 @@ impl ShardOptimizer for ShardWorker<'_> {
             self.started,
             std::mem::take(&mut self.scratch),
         )
-        .with_eps_budget(task.eps_allowance)
-        .with_pinned_windows(pinned, self.opts.boundary_bias);
+        .with_eps_budget(task.eps_allowance);
         driver.run(
             fast,
             slow,
@@ -140,14 +111,15 @@ impl Guoq {
         circuit: &Circuit,
         cost: &'a dyn CostFn,
         workers: usize,
+        slice_iterations: u64,
         mut obs: Option<&'a mut EventSink<'a>>,
     ) -> GuoqResult {
         let opts = self.opts();
         let started = Instant::now();
         let popts = ParallelOpts {
             workers: workers.max(1),
-            oversubscribe: opts.shards_per_worker.max(1),
-            slice_iterations: opts.shard_slice_iterations.max(1),
+            oversubscribe: SHARDS_PER_WORKER,
+            slice_iterations: slice_iterations.max(1),
             min_shard_len: MIN_SHARD_LEN,
             eps_total: opts.eps_total,
             deadline: match opts.budget {
@@ -158,7 +130,6 @@ impl Guoq {
                 Budget::Time(_) => None,
                 Budget::Iterations(n) => Some(n),
             },
-            boundary_aware: opts.boundary_bias > 0.0,
             seed: opts.seed,
             cancel: opts.cancel.clone(),
         };
@@ -259,8 +230,7 @@ impl Guoq {
             worker_stats: outcome.worker_stats,
             // Busy time summed over all shard drivers (not wall time).
             profile: outcome.profile,
-            // Only the serial incremental path certifies (shard workers
-            // never arm certification on their drivers).
+            // Only `Engine::Certifying` certifies.
             certificate: None,
         }
     }
@@ -290,8 +260,10 @@ mod tests {
         let c = redundant(160);
         let opts = GuoqOpts {
             budget: Budget::Iterations(6000),
-            engine: crate::Engine::Sharded { workers: 2 },
-            shard_slice_iterations: 256,
+            engine: crate::Engine::Sharded {
+                workers: 2,
+                slice_iterations: 256,
+            },
             seed: 11,
             ..Default::default()
         };
@@ -308,8 +280,10 @@ mod tests {
         let c = redundant(96);
         let mk = || GuoqOpts {
             budget: Budget::Iterations(2000),
-            engine: crate::Engine::Sharded { workers: 3 },
-            shard_slice_iterations: 128,
+            engine: crate::Engine::Sharded {
+                workers: 3,
+                slice_iterations: 128,
+            },
             seed: 5,
             ..Default::default()
         };
@@ -320,38 +294,15 @@ mod tests {
     }
 
     #[test]
-    fn boundary_bias_is_behavior_preserving() {
-        // The bias changes the probe distribution, never soundness: at
-        // either extreme the sharded engine still preserves semantics
-        // and never worsens cost.
-        let c = redundant(120);
-        for bias in [0.0, 0.9] {
-            let opts = GuoqOpts {
-                budget: Budget::Iterations(4000),
-                engine: crate::Engine::Sharded { workers: 2 },
-                shard_slice_iterations: 256,
-                seed: 17,
-                boundary_bias: bias,
-                ..Default::default()
-            };
-            let g = Guoq::rewrite_only(GateSet::Nam, opts);
-            let r = g.optimize(&c, &GateCount);
-            assert!(r.cost <= c.len() as f64, "bias {bias}");
-            assert!(
-                qsim::circuits_equivalent(&c, &r.circuit, 1e-6),
-                "bias {bias}"
-            );
-        }
-    }
-
-    #[test]
     fn sharded_workers_share_one_cache_handle() {
         let c = redundant(160);
         let cache = std::sync::Arc::new(guoq_qcache());
         let mk = || GuoqOpts {
             budget: Budget::Iterations(3000),
-            engine: crate::Engine::Sharded { workers: 2 },
-            shard_slice_iterations: 128,
+            engine: crate::Engine::Sharded {
+                workers: 2,
+                slice_iterations: 128,
+            },
             seed: 23,
             resynth_probability: 0.2,
             eps_total: 1e-6,
@@ -375,7 +326,7 @@ mod tests {
         let c = redundant(8);
         let opts = GuoqOpts {
             budget: Budget::Iterations(400),
-            engine: crate::Engine::Sharded { workers: 4 },
+            engine: crate::Engine::sharded(4),
             ..Default::default()
         };
         let g = Guoq::rewrite_only(GateSet::Nam, opts);

@@ -5,27 +5,21 @@
 //! built-in exact passes carry `ε = 0`; resynthesis declares a per-call
 //! bound and reports the *measured* distance, which the optimizer charges
 //! against the global budget (Thm. 4.2: errors add up).
+//!
+//! A transformation expresses its output as a [`Patch`] against the
+//! search's working circuit ([`Transformation::apply_patch`]), so the
+//! search prices and commits edits without materializing candidates.
 
 use qcache::QCache;
 use qcir::edit::Patch;
 use qcir::{Circuit, GateSet, Region};
-use qrewrite::{apply_rule_pass, fusion, MatchScratch, Rule};
+use qrewrite::{fusion, MatchScratch, Rule};
 use qsynth::{CacheOutcome, Resynthesizer};
 use qtrace::{Counter, Family};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// The result of a successful transformation application.
-#[derive(Debug, Clone)]
-pub struct Applied {
-    /// The transformed circuit.
-    pub circuit: Circuit,
-    /// Measured approximation error introduced by this application
-    /// (0 for exact transformations; never exceeds the declared bound).
-    pub epsilon: f64,
-}
 
 /// A patch produced by a transformation, ready to be costed and — if the
 /// search accepts it — committed to the [`SearchCtx`].
@@ -70,16 +64,12 @@ const MAX_ANCHOR_BIAS: f64 = 0.9;
 /// remaining budget on such circuits.
 const CERT_SKIP_TRIES: usize = 4;
 
-/// The mutable state the incremental engine carries across iterations:
-/// one working circuit plus the matcher scratch buffers. Wire adjacency
-/// comes straight from the circuit's arena links
-/// ([`Circuit::next_on_wire`] and friends), so there is no separate DAG
-/// to build or splice.
-///
-/// The legacy engine cloned the circuit (and rebuilt a wire DAG) on
-/// every iteration; a `SearchCtx` instead lives for the whole search,
-/// and accepted edits are [committed](Self::commit) in place — O(edit
-/// span) instead of O(circuit).
+/// The mutable state the search carries across iterations: one working
+/// circuit plus the matcher scratch buffers. Wire adjacency comes
+/// straight from the circuit's arena links ([`Circuit::next_on_wire`]
+/// and friends), so there is no separate DAG to build or splice. A
+/// `SearchCtx` lives for the whole search, and accepted edits are
+/// [committed](Self::commit) in place — O(edit span), not O(circuit).
 ///
 /// The context also remembers a bounded list of recently-edited index
 /// windows. With a non-zero anchor bias, [`Self::sample_anchor`] probes
@@ -94,12 +84,6 @@ pub struct SearchCtx {
     /// sampling time (the list is a sampling bias, not ground truth).
     dirty: VecDeque<(usize, usize)>,
     anchor_bias: f64,
-    /// Externally pinned windows (e.g. the gates touching a shard's
-    /// boundary qubits, seeded right after each rotation). Like the
-    /// dirty list, coordinates drift as edits land and are clamped at
-    /// sampling time.
-    pinned: Vec<(usize, usize)>,
-    pinned_bias: f64,
     /// Live local-optimality stamps (certification-enabled runs only).
     /// [`Self::commit`] folds every accepted patch into the map so
     /// stamps can never go stale; [`Self::sample_anchor`] redraws
@@ -113,29 +97,21 @@ pub struct SearchCtx {
 impl SearchCtx {
     /// Creates a context owning `circuit`, with uniform anchor sampling.
     pub fn new(circuit: Circuit) -> Self {
-        Self::with_anchor_bias(circuit, 0.0)
+        Self::with_scratch(circuit, 0.0, MatchScratch::new())
     }
 
     /// Creates a context that samples an anchor from a recently-edited
     /// window with probability `anchor_bias` (uniformly otherwise, and
-    /// always uniformly while no edit has been committed yet). The bias
-    /// is clamped to `[0, 0.9]` so uniform exploration never fully
-    /// stops.
-    pub fn with_anchor_bias(circuit: Circuit, anchor_bias: f64) -> Self {
-        Self::with_scratch(circuit, anchor_bias, MatchScratch::new())
-    }
-
-    /// Like [`Self::with_anchor_bias`], reusing an existing matcher
-    /// scratch (its buffers are already grown — shard workers recycle
-    /// one scratch across every shard task they process).
+    /// always uniformly while no edit has been committed yet; clamped to
+    /// `[0, 0.9]` so uniform exploration never fully stops), reusing an
+    /// existing matcher scratch (shard workers recycle one scratch
+    /// across every shard task they process).
     pub fn with_scratch(circuit: Circuit, anchor_bias: f64, scratch: MatchScratch) -> Self {
         SearchCtx {
             circuit,
             scratch,
             dirty: VecDeque::with_capacity(DIRTY_CAPACITY),
             anchor_bias: anchor_bias.clamp(0.0, MAX_ANCHOR_BIAS),
-            pinned: Vec::new(),
-            pinned_bias: 0.0,
             certs: None,
             focus: None,
         }
@@ -167,17 +143,6 @@ impl SearchCtx {
         self.focus = window;
     }
 
-    /// Pins a set of index windows that [`Self::sample_anchor`] probes
-    /// with probability `bias` (clamped to `[0, 0.9]`), ahead of the
-    /// dirty-window roll. The sharded engine seeds the windows of gates
-    /// touching its shard's boundary qubits here, right after each
-    /// boundary rotation, so cross-shard cancellations are probed while
-    /// the cut is fresh. An empty `windows` clears the pin.
-    pub fn pin_windows(&mut self, windows: Vec<(usize, usize)>, bias: f64) {
-        self.pinned = windows;
-        self.pinned_bias = bias.clamp(0.0, MAX_ANCHOR_BIAS);
-    }
-
     /// Consumes the context, yielding the matcher scratch for reuse.
     pub fn into_scratch(self) -> MatchScratch {
         self.scratch
@@ -194,15 +159,6 @@ impl SearchCtx {
         let n = self.circuit.len();
         assert!(n > 0, "cannot sample an anchor in an empty circuit");
         if let Some((lo, hi)) = self.focus {
-            let lo = lo.min(n - 1);
-            let hi = hi.clamp(lo + 1, n);
-            return rng.random_range(lo..hi);
-        }
-        if !self.pinned.is_empty()
-            && self.pinned_bias > 0.0
-            && rng.random::<f64>() < self.pinned_bias
-        {
-            let (lo, hi) = self.pinned[rng.random_range(0..self.pinned.len())];
             let lo = lo.min(n - 1);
             let hi = hi.clamp(lo + 1, n);
             return rng.random_range(lo..hi);
@@ -244,6 +200,11 @@ impl SearchCtx {
         &self.circuit
     }
 
+    /// Consumes the context, yielding the working circuit.
+    pub fn into_circuit(self) -> Circuit {
+        self.circuit
+    }
+
     /// Splits the context into the pieces the matcher needs.
     #[inline]
     pub fn parts(&mut self) -> (&Circuit, &mut MatchScratch) {
@@ -270,8 +231,6 @@ impl SearchCtx {
     pub fn replace_circuit(&mut self, circuit: Circuit) {
         self.circuit = circuit;
         self.dirty.clear();
-        // Pinned windows described the discarded circuit too.
-        self.pinned.clear();
         // No patch describes a wholesale replacement, so no stamp can
         // be proven to survive it.
         if let Some(certs) = &mut self.certs {
@@ -308,25 +267,13 @@ pub trait Transformation: Send + Sync {
         Family::Rule
     }
 
-    /// Attempts to apply the transformation at a random location.
+    /// Attempts to apply the transformation at a random location of the
+    /// context's current circuit, producing its edit as a [`Patch`]
+    /// without materializing a new circuit.
     ///
     /// Returns `None` when the transformation does not fire (no match, or
     /// synthesis failed within its bound).
-    fn apply(&self, circuit: &Circuit, rng: &mut SmallRng) -> Option<Applied>;
-
-    /// True when [`Self::apply_patch`] is implemented; the incremental
-    /// engine falls back to [`Self::apply`] (with a full-circuit cost)
-    /// otherwise.
-    fn supports_patches(&self) -> bool {
-        false
-    }
-
-    /// Attempts to produce the transformation's edit as a [`Patch`]
-    /// against the context's current circuit, without materializing a
-    /// new circuit — the incremental engine's fast path.
-    fn apply_patch(&self, _ctx: &mut SearchCtx, _rng: &mut SmallRng) -> Option<PatchApplied> {
-        None
-    }
+    fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied>;
 }
 
 /// A full rewrite pass of one rule from a random anchor (paper §5.3).
@@ -340,11 +287,6 @@ impl RulePass {
     pub fn new(rule: Rule) -> Self {
         RulePass { rule }
     }
-
-    /// The underlying rule.
-    pub fn rule(&self) -> &Rule {
-        &self.rule
-    }
 }
 
 impl Transformation for RulePass {
@@ -354,22 +296,6 @@ impl Transformation for RulePass {
 
     fn epsilon(&self) -> f64 {
         0.0
-    }
-
-    fn apply(&self, circuit: &Circuit, rng: &mut SmallRng) -> Option<Applied> {
-        if circuit.is_empty() {
-            return None;
-        }
-        let start = rng.random_range(0..circuit.len());
-        let (out, _count) = apply_rule_pass(circuit, &self.rule, start)?;
-        Some(Applied {
-            circuit: out,
-            epsilon: 0.0,
-        })
-    }
-
-    fn supports_patches(&self) -> bool {
-        true
     }
 
     fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied> {
@@ -426,18 +352,6 @@ impl Transformation for FusionPass {
         Family::Fusion
     }
 
-    fn apply(&self, circuit: &Circuit, _rng: &mut SmallRng) -> Option<Applied> {
-        let out = fusion::fuse_1q_runs(circuit, self.set)?;
-        Some(Applied {
-            circuit: out,
-            epsilon: 0.0,
-        })
-    }
-
-    fn supports_patches(&self) -> bool {
-        true
-    }
-
     fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied> {
         let n = ctx.circuit().len();
         if n == 0 {
@@ -478,18 +392,6 @@ impl Transformation for CleanupPass {
         Family::Cleanup
     }
 
-    fn apply(&self, circuit: &Circuit, _rng: &mut SmallRng) -> Option<Applied> {
-        let out = fusion::remove_identities(circuit, 1e-9)?;
-        Some(Applied {
-            circuit: out,
-            epsilon: 0.0,
-        })
-    }
-
-    fn supports_patches(&self) -> bool {
-        true
-    }
-
     fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied> {
         let n = ctx.circuit().len();
         if n == 0 {
@@ -528,18 +430,6 @@ impl Transformation for CommutationPass {
 
     fn family(&self) -> Family {
         Family::Commutation
-    }
-
-    fn apply(&self, circuit: &Circuit, _rng: &mut SmallRng) -> Option<Applied> {
-        let out = qrewrite::commutation::commutative_cancellation(circuit)?;
-        Some(Applied {
-            circuit: out,
-            epsilon: 0.0,
-        })
-    }
-
-    fn supports_patches(&self) -> bool {
-        true
     }
 
     fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied> {
@@ -658,30 +548,10 @@ impl ResynthPass {
         Some(region)
     }
 
-    /// Resynthesizes the region's subcircuit; returns the replacement.
-    pub fn resynthesize_region(
-        &self,
-        circuit: &Circuit,
-        region: &Region,
-        rng: &mut SmallRng,
-    ) -> Option<Applied> {
-        let sub = region.extract(circuit);
-        let mut synth_rng = Self::synth_rng(rng);
-        let (out, outcome) =
-            self.rs
-                .resynthesize_cached(&sub, self.eps, &mut synth_rng, self.cache.as_deref());
-        self.record_outcome(outcome);
-        let out = out?;
-        Some(Applied {
-            circuit: region.replace(circuit, &out.circuit),
-            epsilon: out.epsilon,
-        })
-    }
-
-    /// Patch-producing variant of [`Self::resynthesize_region`]: the
-    /// edit is expressed via [`Region::replacement_patch`] (members
-    /// removed, replacement spliced after the window, matching the
-    /// emission order of [`Region::replace`]).
+    /// Resynthesizes the region's subcircuit, expressing the edit via
+    /// [`Region::replacement_patch`] (members removed, replacement
+    /// spliced after the window, matching the emission order of
+    /// [`Region::replace`]).
     pub fn resynthesize_region_patch(
         &self,
         circuit: &Circuit,
@@ -715,15 +585,6 @@ impl Transformation for ResynthPass {
         Family::Resynth
     }
 
-    fn apply(&self, circuit: &Circuit, rng: &mut SmallRng) -> Option<Applied> {
-        let region = self.pick_region(circuit, rng)?;
-        self.resynthesize_region(circuit, &region, rng)
-    }
-
-    fn supports_patches(&self) -> bool {
-        true
-    }
-
     fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied> {
         if ctx.circuit().is_empty() {
             return None;
@@ -753,10 +614,12 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push(Gate::Cx, &[0, 1]);
         c.push(Gate::Cx, &[0, 1]);
+        let mut ctx = SearchCtx::new(c);
         let mut rng = SmallRng::seed_from_u64(1);
-        let out = t.apply(&c, &mut rng).unwrap();
-        assert!(out.circuit.is_empty());
+        let out = t.apply_patch(&mut ctx, &mut rng).unwrap();
         assert_eq!(out.epsilon, 0.0);
+        ctx.commit(&out.patch);
+        assert!(ctx.circuit().is_empty());
     }
 
     #[test]
@@ -767,11 +630,13 @@ mod tests {
         c.push(Gate::Rz(0.3), &[0]);
         c.push(Gate::Rz(0.4), &[0]);
         c.push(Gate::Rz(0.5), &[0]);
+        let mut ctx = SearchCtx::new(c.clone());
         let mut rng = SmallRng::seed_from_u64(2);
-        let out = t.apply(&c, &mut rng).unwrap();
-        assert!(out.circuit.len() < c.len());
+        let out = t.apply_patch(&mut ctx, &mut rng).unwrap();
         assert!(out.epsilon <= 1e-6);
-        assert!(qsim::circuits_equivalent(&c, &out.circuit, 1e-5));
+        ctx.commit(&out.patch);
+        assert!(ctx.circuit().len() < c.len());
+        assert!(qsim::circuits_equivalent(&c, ctx.circuit(), 1e-5));
     }
 
     #[test]
@@ -779,7 +644,9 @@ mod tests {
         let mut c = Circuit::new(1);
         c.push(Gate::H, &[0]);
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(CleanupPass.apply(&c, &mut rng).is_none());
+        assert!(CleanupPass
+            .apply_patch(&mut SearchCtx::new(c), &mut rng)
+            .is_none());
     }
 
     #[test]
@@ -788,7 +655,7 @@ mod tests {
         for _ in 0..6 {
             c.push(Gate::H, &[0]);
         }
-        let mut ctx = SearchCtx::with_anchor_bias(c.clone(), 0.5);
+        let mut ctx = SearchCtx::with_scratch(c.clone(), 0.5, MatchScratch::new());
         assert_eq!(ctx.dirty_windows().count(), 0);
         ctx.commit(&Patch::new(vec![2, 3], Vec::new(), 2));
         let windows: Vec<_> = ctx.dirty_windows().collect();
@@ -802,46 +669,5 @@ mod tests {
         }
         ctx.replace_circuit(c);
         assert_eq!(ctx.dirty_windows().count(), 0);
-    }
-
-    #[test]
-    fn pinned_windows_bias_anchor_sampling() {
-        let mut c = Circuit::new(2);
-        for _ in 0..64 {
-            c.push(Gate::H, &[0]);
-        }
-        let mut ctx = SearchCtx::new(c.clone());
-        // Saturated pin (clamped to 0.9): ≥ ~90% of anchors must land in
-        // the pinned window.
-        ctx.pin_windows(vec![(10, 14)], 1.0);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut inside = 0;
-        for _ in 0..512 {
-            let a = ctx.sample_anchor(&mut rng);
-            assert!(a < ctx.circuit().len());
-            if (10..14).contains(&a) {
-                inside += 1;
-            }
-        }
-        assert!(inside > 400, "pinned bias ignored: {inside}/512");
-        // Clearing the pin restores uniform sampling.
-        ctx.pin_windows(Vec::new(), 0.9);
-        let mut inside = 0;
-        for _ in 0..512 {
-            if (10..14).contains(&ctx.sample_anchor(&mut rng)) {
-                inside += 1;
-            }
-        }
-        assert!(inside < 100, "uniform sampling not restored: {inside}/512");
-        // Wholesale replacement clears pins (their indices are stale).
-        ctx.pin_windows(vec![(0, 4)], 0.9);
-        ctx.replace_circuit(c);
-        let mut inside = 0;
-        for _ in 0..512 {
-            if ctx.sample_anchor(&mut rng) < 4 {
-                inside += 1;
-            }
-        }
-        assert!(inside < 100, "stale pin survived replacement: {inside}/512");
     }
 }

@@ -17,10 +17,9 @@
 //!
 //! 1. **Shard.** The master is partitioned into contiguous instruction
 //!    windows with [`qcir::shard::ShardPlan::partition`] — one standalone
-//!    circuit per shard over the full register (boundary-qubit metadata
-//!    is available on demand via `ShardPlan::boundary_qubits`). Shard
-//!    tasks (circuit + iteration slice + ε allowance + deterministic
-//!    per-task seed) go into a shared MPMC queue.
+//!    circuit per shard over the full register. Shard tasks (circuit +
+//!    iteration slice + ε allowance + deterministic per-task seed) go
+//!    into a shared MPMC queue.
 //! 2. **Optimize.** A fixed pool of workers pulls tasks from the queue.
 //!    Each worker owns a [`ShardOptimizer`] (in this workspace: a
 //!    `guoq` `ShardDriver` running Algorithm 1 over the shard) and
@@ -59,7 +58,7 @@
 
 use crossbeam_channel::bounded;
 use qcir::shard::{ShardPlan, ShardSpec};
-use qcir::{Circuit, Qubit};
+use qcir::Circuit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,13 +115,6 @@ pub struct ShardTask {
     /// The worker this shard would land on under static round-robin;
     /// any other worker processing it counts as a cross-home pickup.
     pub home_worker: usize,
-    /// Qubits this shard shares with the rest of the circuit
-    /// ([`ShardPlan::boundary_qubits`]), freshly computed for the
-    /// current rotation phase. Populated only when
-    /// [`ParallelOpts::boundary_aware`] is set — boundary-biased
-    /// optimizers use it to target cross-shard cancellations right
-    /// after each boundary rotation; empty otherwise.
-    pub boundary_qubits: Vec<Qubit>,
 }
 
 /// The result of optimizing one shard.
@@ -174,10 +166,6 @@ pub struct ParallelOpts {
     pub deadline: Option<Instant>,
     /// Stop once this many iterations were performed across all shards.
     pub max_iterations: Option<u64>,
-    /// Compute [`ShardTask::boundary_qubits`] for every task (one
-    /// extra pass over the master per shard per epoch). Off by
-    /// default; enabled by boundary-biased shard optimizers.
-    pub boundary_aware: bool,
     /// Base RNG seed for per-task seed derivation.
     pub seed: u64,
     /// Cooperative cancellation: the coordinator stops starting epochs
@@ -197,7 +185,6 @@ impl Default for ParallelOpts {
             eps_total: 1e-8,
             deadline: None,
             max_iterations: None,
-            boundary_aware: false,
             seed: 0xCAFE,
             cancel: None,
         }
@@ -421,11 +408,6 @@ where
                     deadline: opts.deadline,
                     seed: task_seed(opts.seed, epochs, spec.index() as u64),
                     home_worker: spec.index() % workers,
-                    boundary_qubits: if opts.boundary_aware && nshards > 1 {
-                        plan.boundary_qubits(&master, spec.index())
-                    } else {
-                        Vec::new()
-                    },
                 };
                 task_tx.send(task).expect("worker pool disconnected");
             }
@@ -601,48 +583,6 @@ mod tests {
         for workers in [1, 2, 4] {
             assert!(run(workers).is_empty());
         }
-    }
-
-    #[test]
-    fn boundary_aware_tasks_carry_shared_wires() {
-        use std::sync::Mutex;
-        struct Recorder<'a>(&'a Mutex<Vec<Vec<Qubit>>>);
-        impl ShardOptimizer for Recorder<'_> {
-            fn optimize_shard(&mut self, task: ShardTask) -> ShardOutcome {
-                self.0.lock().unwrap().push(task.boundary_qubits.clone());
-                ShardOutcome {
-                    circuit: task.circuit,
-                    iterations: 1,
-                    accepted: 0,
-                    resynth_hits: 0,
-                    epsilon: 0.0,
-                    profile: qtrace::Profile::default(),
-                }
-            }
-        }
-        let c = cx_pairs(32); // every wire crosses shard cuts
-        let mut opts = ParallelOpts {
-            workers: 2,
-            oversubscribe: 1,
-            slice_iterations: 1,
-            min_shard_len: 8,
-            max_iterations: Some(4),
-            ..Default::default()
-        };
-        let seen = Mutex::new(Vec::new());
-        let out = optimize_sharded(&c, &opts, |_| Recorder(&seen), |_| {});
-        assert_eq!(out.circuit, c);
-        assert!(seen.lock().unwrap().iter().all(|b| b.is_empty()));
-
-        seen.lock().unwrap().clear();
-        opts.boundary_aware = true;
-        optimize_sharded(&c, &opts, |_| Recorder(&seen), |_| {});
-        let recorded = seen.lock().unwrap();
-        assert!(!recorded.is_empty());
-        assert!(
-            recorded.iter().all(|b| !b.is_empty()),
-            "every shard of this workload shares wires: {recorded:?}"
-        );
     }
 
     struct Panicker;

@@ -78,15 +78,17 @@
 //! already-finished job just replays its terminal `DONE`.
 //!
 //! `SUBMIT ... cert=1` (v2) asks for a local-optimality certificate:
-//! the job runs with [`guoq::GuoqOpts::certify`] and may terminate
+//! the job runs on [`guoq::Engine::Certifying`] and may terminate
 //! early once certified, emitting one `CERTIFIED` frame (coverage,
-//! window count, probe budget) right before its `DONE`. `EDIT id=N
-//! delta=...` (v2, journaled servers, finished jobs only) applies a
-//! client-supplied [`qcir::delta::CircuitDelta`] to job `N`'s finished
-//! best, invalidates only the certificate windows the edit dirties,
-//! and re-optimizes as a certified continuation job — the stream is
-//! the usual `ACCEPTED` + deltas, ending in a fresh `CERTIFIED` +
-//! `DONE`. Both verbs are v2-only; v1 sessions never see them (pinned
+//! window count, probe budget) right before its `DONE`. Only the
+//! serial engine certifies, so `cert=1` with `engine=sharded:<N>` is
+//! refused with `ERROR code=bad-request` before any `ACCEPTED`.
+//! `EDIT id=N delta=...` (v2, journaled servers, finished jobs only)
+//! applies a client-supplied [`qcir::delta::CircuitDelta`] to job `N`'s
+//! finished best, invalidates only the certificate windows the edit
+//! dirties, and re-optimizes as a certified continuation job — the
+//! stream is the usual `ACCEPTED` + deltas, ending in a fresh
+//! `CERTIFIED` + `DONE`. Both verbs are v2-only; v1 sessions never see them (pinned
 //! by the golden transcript).
 //!
 //! Semantics: one `ACCEPTED` per admitted job, then the improvement
@@ -125,13 +127,14 @@ pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 /// `min(client, PROTOCOL_VERSION)`; sessions without a `HELLO` run v1.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Which iteration engine a job asks for.
+/// Which iteration engine a job asks for. The wire also accepts
+/// `engine=clone-rebuild`, the name of a retired serial engine, as an
+/// alias of `serial`, so older clients and journals keep working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSel {
-    /// The serial incremental engine (`Engine::Incremental`).
+    /// The serial engine (`Engine::Serial`, or `Engine::Certifying`
+    /// with `cert=1`).
     Serial,
-    /// The clone–rebuild baseline (`Engine::CloneRebuild`).
-    CloneRebuild,
     /// The sharded parallel engine with this many workers.
     Sharded(usize),
 }
@@ -171,8 +174,9 @@ pub struct JobRequest {
     /// `overwrite=1` only when set, so v1 frames are unchanged.
     pub overwrite: bool,
     /// Run with local-optimality certification
-    /// ([`guoq::GuoqOpts::certify`]): the job may terminate early once
-    /// certified and emits a [`Frame::Certified`] before its `DONE`.
+    /// ([`guoq::Engine::Certifying`]; serial engine only): the job may
+    /// terminate early once certified and emits a [`Frame::Certified`]
+    /// before its `DONE`.
     /// Encoded as `cert=1` only when set, so v1 frames are unchanged.
     pub certify: bool,
     /// The circuit, as (single-line) OpenQASM 2.0.
@@ -449,15 +453,13 @@ impl EngineSel {
     fn encode(&self) -> String {
         match *self {
             EngineSel::Serial => "serial".into(),
-            EngineSel::CloneRebuild => "clone-rebuild".into(),
             EngineSel::Sharded(w) => format!("sharded:{w}"),
         }
     }
 
     fn parse(s: &str) -> Result<Self, ProtocolError> {
         match s {
-            "serial" => Ok(EngineSel::Serial),
-            "clone-rebuild" => Ok(EngineSel::CloneRebuild),
+            "serial" | "clone-rebuild" => Ok(EngineSel::Serial),
             _ => match s.strip_prefix("sharded:") {
                 Some(w) => Ok(EngineSel::Sharded(
                     w.parse().map_err(|_| perr("bad worker count"))?,
@@ -1072,6 +1074,24 @@ mod tests {
             qasm: "OPENQASM 2.0; qreg q[1];".into(),
         });
         assert!(!plain.encode().contains("cert="));
+    }
+
+    #[test]
+    fn clone_rebuild_spelling_parses_as_serial() {
+        // The retired serial engine's wire name stays an alias of
+        // `serial`: old clients can submit with it and old journals
+        // (whose first line is the SUBMIT) can still be replayed.
+        let line = "SUBMIT id=3 engine=clone-rebuild iters=10 time_ms=0 seed=5 eps=0 objective=gates qasm=OPENQASM 2.0; qreg q[1];";
+        match Frame::parse(line).unwrap() {
+            Frame::Submit(r) => {
+                assert_eq!(r.engine, EngineSel::Serial);
+                assert_eq!((r.id, r.iters, r.seed), (3, 10, 5));
+                // Re-encoding uses the canonical spelling.
+                assert!(Frame::Submit(r).encode().contains(" engine=serial "));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(Frame::parse(&line.replace("clone-rebuild", "clone")).is_err());
     }
 
     #[test]

@@ -598,10 +598,15 @@ impl ServerHandle {
         reply: &Sender<Frame>,
     ) -> Result<QueuedJob, (&'static str, String)> {
         let width = match req.engine {
-            EngineSel::Serial | EngineSel::CloneRebuild => 1,
+            EngineSel::Serial => 1,
             EngineSel::Sharded(w) => {
                 if w == 0 {
                     return Err((codes::BAD_REQUEST, "sharded engine needs ≥ 1 worker".into()));
+                }
+                if req.certify {
+                    // Certification lives in the serial driver only;
+                    // refuse rather than run the job uncertified.
+                    return Err((codes::BAD_REQUEST, "cert=1 needs the serial engine".into()));
                 }
                 w
             }
@@ -1362,20 +1367,19 @@ fn run_job(job: QueuedJob, shared: Arc<Shared>) {
     };
 
     let engine = match req.engine {
-        EngineSel::Serial => Engine::Incremental,
-        EngineSel::CloneRebuild => Engine::CloneRebuild,
-        EngineSel::Sharded(w) => Engine::Sharded { workers: w },
+        // Certification on request (`SUBMIT cert=1` or an EDIT
+        // continuation): the serial engine probes plateaus into stamped
+        // windows and may finish early with a certificate. Admission
+        // refuses `cert=1` on the sharded engine.
+        EngineSel::Serial if req.certify => Engine::Certifying { prior: cert_prior },
+        EngineSel::Serial => Engine::Serial,
+        EngineSel::Sharded(w) => Engine::sharded(w),
     };
     let mut gopts = GuoqOpts {
         budget,
         eps_total: req.eps,
         seed: req.seed,
         engine,
-        // Certification on request (`SUBMIT cert=1` or an EDIT
-        // continuation): the serial engine probes plateaus into
-        // stamped windows and may finish early with a certificate.
-        certify: req.certify,
-        cert_prior,
         cancel: Some(cancel.clone()),
         // Every job shares the server's memo cache: repeated and
         // similar submissions are served from amortized synthesis.

@@ -84,7 +84,7 @@ fn cancelled_sharded_job_leaves_the_pool_reusable() {
             budget: Budget::Iterations(iters),
             eps_total: 1e-6,
             seed,
-            engine: Engine::Sharded { workers: 2 },
+            engine: Engine::sharded(2),
             ..Default::default()
         },
     )

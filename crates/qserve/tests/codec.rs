@@ -27,7 +27,6 @@ fn finite_f64() -> impl Strategy<Value = f64> {
 fn engine() -> impl Strategy<Value = EngineSel> {
     prop_oneof![
         Just(EngineSel::Serial),
-        Just(EngineSel::CloneRebuild),
         (1usize..64).prop_map(EngineSel::Sharded),
     ]
 }

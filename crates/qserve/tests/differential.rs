@@ -1,11 +1,12 @@
 //! The tentpole harness: an in-process client/server differential
 //! suite.
 //!
-//! For both the serial and the sharded engine it proves a served,
-//! iteration-budgeted job is **bit-identical** to calling
-//! `Guoq::optimize` directly with the same options and seed — same
-//! final circuit, cost, and iteration count — which is strictly
-//! stronger than "identical in distribution". On top of that it checks
+//! For both the serial and the sharded engine — and for the retired
+//! `engine=clone-rebuild` spelling, which the wire still accepts as an
+//! alias of `serial` — it proves a served, iteration-budgeted job is
+//! **bit-identical** to calling `Guoq::optimize` directly with the same
+//! options and seed — same final circuit, cost, and iteration count —
+//! which is strictly stronger than "identical in distribution". On top of that it checks
 //! the serving guarantees: unitary equivalence to the submitted
 //! circuit, never-worse cost, ε within budget, and a snapshot stream
 //! that starts at the input cost and is strictly decreasing.
@@ -30,6 +31,18 @@ fn request(id: u64, engine: EngineSel, iters: u64, seed: u64, qasm: String) -> J
     let mut r = util::request(id, engine, iters, seed, &Circuit::new(1));
     r.qasm = qasm;
     r
+}
+
+/// [`request`] as a client spelling the engine `wire` sends it: encoded,
+/// respelled, and parsed back from the wire.
+fn request_on_wire(wire: &str, id: u64, iters: u64, seed: u64, qasm: String) -> JobRequest {
+    let line = Frame::Submit(request(id, EngineSel::Serial, iters, seed, qasm))
+        .encode()
+        .replacen(" engine=serial ", &format!(" engine={wire} "), 1);
+    match Frame::parse(line.trim_end()) {
+        Ok(Frame::Submit(r)) => r,
+        other => panic!("`engine={wire}` SUBMIT did not parse: {other:?}"),
+    }
 }
 
 /// Drains reply frames until the job's `DONE` (or panics after 120 s —
@@ -73,8 +86,9 @@ fn direct_optimize(qasm_text: &str, engine: Engine, iters: u64, seed: u64) -> gu
     Guoq::for_gate_set(GateSet::Nam, opts).optimize(&circuit, &GateCount)
 }
 
-/// The shared differential assertion set for one engine.
-fn assert_served_matches_direct(engine_sel: EngineSel, engine: Engine, id: u64) {
+/// The shared differential assertion set for one engine, submitted with
+/// the `wire` engine spelling.
+fn assert_served_matches_direct(wire: &str, engine: Engine, id: u64) {
     let input = workload(240);
     let input_line = qasm::to_qasm_line(&input);
     let input_cost = GateCount.cost(&input);
@@ -92,7 +106,7 @@ fn assert_served_matches_direct(engine_sel: EngineSel, engine: Engine, id: u64) 
     });
     let (frames, done) = serve_job(
         &server,
-        request(id, engine_sel, iters, seed, input_line.clone()),
+        request_on_wire(wire, id, iters, seed, input_line.clone()),
     );
     server.shutdown();
 
@@ -141,7 +155,7 @@ fn assert_served_matches_direct(engine_sel: EngineSel, engine: Engine, id: u64) 
 
 #[test]
 fn serial_served_job_is_identical_to_direct_optimize() {
-    assert_served_matches_direct(EngineSel::Serial, Engine::Incremental, 1);
+    assert_served_matches_direct("serial", Engine::Serial, 1);
 }
 
 /// The v2 counterpart of the differential core: a `HELLO version=2`
@@ -150,7 +164,7 @@ fn serial_served_job_is_identical_to_direct_optimize() {
 /// previously reconstructed circuit, reset absolutely at each
 /// `SNAPSHOT` — reproduces the served best **bit for bit**, for every
 /// engine.
-fn assert_v2_delta_stream_reconstructs(engine_sel: EngineSel, engine: Engine, id: u64) {
+fn assert_v2_delta_stream_reconstructs(wire: &str, engine: Engine, id: u64) {
     let input = workload(240);
     let input_line = qasm::to_qasm_line(&input);
     let (iters, seed) = (4000u64, 31u64);
@@ -176,7 +190,7 @@ fn assert_v2_delta_stream_reconstructs(engine_sel: EngineSel, engine: Engine, id
     }
     assert_eq!(handle.protocol_version(), 2);
     handle.handle_frame(
-        Frame::Submit(request(id, engine_sel, iters, seed, input_line)),
+        Frame::Submit(request_on_wire(wire, id, iters, seed, input_line)),
         &tx,
     );
     let frames = collect_until_done(&rx);
@@ -242,17 +256,18 @@ fn assert_v2_delta_stream_reconstructs(engine_sel: EngineSel, engine: Engine, id
 
 #[test]
 fn v2_delta_stream_reconstructs_serial() {
-    assert_v2_delta_stream_reconstructs(EngineSel::Serial, Engine::Incremental, 21);
+    assert_v2_delta_stream_reconstructs("serial", Engine::Serial, 21);
 }
 
 #[test]
 fn v2_delta_stream_reconstructs_sharded() {
-    assert_v2_delta_stream_reconstructs(EngineSel::Sharded(2), Engine::Sharded { workers: 2 }, 22);
+    assert_v2_delta_stream_reconstructs("sharded:2", Engine::sharded(2), 22);
 }
 
+/// The retired engine's spelling is served by the serial engine.
 #[test]
 fn v2_delta_stream_reconstructs_clone_rebuild() {
-    assert_v2_delta_stream_reconstructs(EngineSel::CloneRebuild, Engine::CloneRebuild, 23);
+    assert_v2_delta_stream_reconstructs("clone-rebuild", Engine::Serial, 23);
 }
 
 /// A v1 peer on the same server (no HELLO) keeps getting the legacy
@@ -285,12 +300,13 @@ fn v1_sessions_never_see_delta_frames() {
 
 #[test]
 fn sharded_served_job_is_identical_to_direct_optimize() {
-    assert_served_matches_direct(EngineSel::Sharded(2), Engine::Sharded { workers: 2 }, 2);
+    assert_served_matches_direct("sharded:2", Engine::sharded(2), 2);
 }
 
+/// An old client's `engine=clone-rebuild` job runs on the serial engine.
 #[test]
 fn clone_rebuild_served_job_is_identical_to_direct_optimize() {
-    assert_served_matches_direct(EngineSel::CloneRebuild, Engine::CloneRebuild, 3);
+    assert_served_matches_direct("clone-rebuild", Engine::Serial, 3);
 }
 
 /// A time-budgeted job that runs its full requested budget finishes
@@ -329,7 +345,7 @@ fn byte_level_transport_matches_direct_optimize() {
     let input = workload(160);
     let input_line = qasm::to_qasm_line(&input);
     let (iters, seed) = (2000u64, 7u64);
-    let direct = direct_optimize(&input_line, Engine::Incremental, iters, seed);
+    let direct = direct_optimize(&input_line, Engine::Serial, iters, seed);
 
     let wire = Frame::Submit(request(9, EngineSel::Serial, iters, seed, input_line)).encode();
     let server = Server::start(ServeOpts {
@@ -399,9 +415,9 @@ fn concurrent_jobs_are_isolated() {
     server.shutdown();
     for (id, c) in &inputs {
         let engine = if id % 2 == 0 {
-            Engine::Sharded { workers: 2 }
+            Engine::sharded(2)
         } else {
-            Engine::Incremental
+            Engine::Serial
         };
         let direct = direct_optimize(&qasm::to_qasm_line(c), engine, 800, 100 + id);
         let s = &done[id];
@@ -516,12 +532,7 @@ fn edit_reoptimization_matches_cold_run_quality() {
 
     // Cold baseline: a full from-scratch optimization of the edited
     // circuit with the same engine and budget.
-    let cold = direct_optimize(
-        &qasm::to_qasm_line(&edited),
-        Engine::Incremental,
-        iters,
-        seed,
-    );
+    let cold = direct_optimize(&qasm::to_qasm_line(&edited), Engine::Serial, iters, seed);
 
     let served2 = qasm::from_qasm(&done2.qasm).expect("EDIT DONE qasm");
     assert!(
@@ -624,5 +635,48 @@ fn invalid_submissions_are_rejected_with_error_frames() {
         }
     }
     assert!(saw_accept && saw_duplicate);
+    server.shutdown();
+}
+
+/// Certification lives in the serial driver only, so a `cert=1` SUBMIT
+/// on the sharded engine is refused at admission — `ERROR` with the
+/// bad-request code and never an `ACCEPTED` — on v1 and v2 sessions
+/// alike, instead of silently running uncertified.
+#[test]
+fn certify_on_sharded_engine_is_refused_at_admission() {
+    let server = Server::start(ServeOpts {
+        worker_budget: 2,
+        cache_gates: 0,
+        ..Default::default()
+    });
+    let input_line = qasm::to_qasm_line(&workload(64));
+    for version in [1u32, 2] {
+        let handle = server.handle();
+        let (tx, rx) = bounded(64);
+        if version == 2 {
+            handle.handle_frame(Frame::Hello { version }, &tx);
+            assert!(matches!(
+                rx.recv_timeout(Duration::from_secs(5)),
+                Ok(Frame::Hello { version: 2 })
+            ));
+        }
+        assert_eq!(handle.protocol_version(), version);
+        let id = 60 + u64::from(version);
+        let mut req = request(id, EngineSel::Sharded(2), 200, 1, input_line.clone());
+        req.certify = true;
+        handle.handle_frame(Frame::Submit(req.clone()), &tx);
+        match rx.recv_timeout(Duration::from_secs(10)).expect("reply") {
+            Frame::Error { id: got, code, .. } if got == id => {
+                assert_eq!(code, qserve::protocol::codes::BAD_REQUEST)
+            }
+            other => panic!("v{version}: expected ERROR, got {other:?}"),
+        }
+        // Nothing follows the ERROR, and the same job without `cert=1`
+        // is admitted.
+        req.certify = false;
+        handle.handle_frame(Frame::Submit(req), &tx);
+        let frames = collect_until_done(&rx);
+        assert!(matches!(frames[0], Frame::Accepted { id: got, .. } if got == id));
+    }
     server.shutdown();
 }

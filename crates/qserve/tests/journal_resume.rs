@@ -154,6 +154,46 @@ fn killed_job_resumes_from_journaled_best_and_never_regresses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal written by an older build whose SUBMIT line names the
+/// retired `clone-rebuild` engine still resumes: the spelling parses as
+/// `serial`, and the continuation finishes no worse than the journaled
+/// best.
+#[test]
+fn journal_with_clone_rebuild_submit_resumes() {
+    let dir = temp_journal_dir("clone-rebuild");
+    let input = workload(200);
+    let server = journaled_server(&dir);
+    assert!(!run_job(&server, 7, 3000).cancelled);
+    server.shutdown();
+
+    // Respell the SUBMIT record as an older build wrote it, and cut the
+    // journal before its DONE so RESUME has work left to do.
+    let path = journal::journal_path(&dir, 7);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert!(lines[0].starts_with("SUBMIT ") && lines[0].contains(" engine=serial "));
+    lines[0] = lines[0].replacen(" engine=serial ", " engine=clone-rebuild ", 1);
+    assert!(lines.pop().unwrap().starts_with("DONE "));
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    let rp = journal::replay(&dir, 7).expect("respelled journal replays");
+    assert_eq!(rp.request.engine, EngineSel::Serial);
+    assert!(rp.finished.is_none());
+
+    let server2 = journaled_server(&dir);
+    let (tx, rx) = bounded(4096);
+    server2.handle().handle_frame(Frame::Resume { id: 7 }, &tx);
+    match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+        Frame::Accepted { id, .. } => assert_eq!(id, 7),
+        other => panic!("expected ACCEPTED, got {other:?}"),
+    }
+    let resumed = wait_done(&rx, 7);
+    server2.shutdown();
+    assert!(resumed.cost <= rp.best_cost, "resumed job regressed");
+    let out = qasm::from_qasm(&resumed.qasm).unwrap();
+    assert!(circuits_equivalent(&input, &out, 1e-4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Byte-granular truncation fuzz: a journal cut at *any* byte offset
 /// — the file's fringes, every record boundary ±1 byte, and a seeded
 /// random spread of interior offsets — must replay without panicking,

@@ -68,10 +68,12 @@ fn main() {
         eps_total: 1e-6,
         seed: 0xD15C0,
         record_history: true,
-        engine: Engine::Sharded { workers },
         // Commit often so the trajectory below has several points even
         // under a short budget (resynthesis makes iterations slow).
-        shard_slice_iterations: 512,
+        engine: Engine::Sharded {
+            workers,
+            slice_iterations: 512,
+        },
         ..Default::default()
     };
     println!("running Engine::Sharded with {workers} worker(s) for 1.5s…");

@@ -5,8 +5,8 @@
 //!
 //! * [`qmath`] — complex linear algebra and distance metrics
 //! * [`qcir`] — circuit IR, gate sets, rebasing, QASM I/O, and the
-//!   patch-based edit layer (`qcir::edit`) with incremental
-//!   `WireDag` maintenance
+//!   patch-based edit layer (`qcir::edit`) over a slot arena with
+//!   embedded per-wire links
 //! * [`qsim`] — statevector simulation and equivalence checking
 //! * [`qrewrite`] — rewrite rules: matching, application, synthesis;
 //!   patch-producing variants of every pass for the incremental engine
@@ -23,28 +23,21 @@
 //! # The edit-engine architecture
 //!
 //! GUOQ's inner loop is an anytime stochastic search whose quality is
-//! proportional to iterations per second. The workspace therefore keeps
-//! *two* iteration engines behind one API (`guoq::Engine`):
-//!
-//! * **Incremental (default).** A `guoq::SearchCtx` owns one working
-//!   circuit and a cached wire DAG for the whole search. Transformations
-//!   propose `qcir::edit::Patch`es (removed indices + replacement +
-//!   splice position); `guoq::CostFn::delta` prices each candidate in
-//!   O(edit span); accepted edits are applied in place via
-//!   `Circuit::apply_patch` + `WireDag::splice`, which relinks only the
-//!   wires crossing the edit window. Per-iteration work scales with the
-//!   edit, not the circuit — on a 10,000-gate circuit the loop runs
-//!   hundreds of times faster than the clone–rebuild baseline (see
-//!   `crates/bench/benches/guoq_iter.rs`, which emits
-//!   `BENCH_guoq_iter.json`).
-//! * **CloneRebuild.** The original clone + DAG-rebuild + full-recost
-//!   loop, kept as the differential baseline; `tests/patch_differential.rs`
-//!   proves the patch *machinery* (single-match edits, DAG splices, cost
-//!   deltas, full passes expressed as patches) bit-identical to the
-//!   legacy machinery on random circuits across every rule corpus and
-//!   cost function. The engines' search *trajectories* differ by design
-//!   (one local edit vs one full pass per iteration); both preserve
-//!   semantics with exact cost accounting.
+//! proportional to iterations per second, so the workspace has one
+//! candidate path. A `guoq::SearchCtx` owns one working circuit whose
+//! wire adjacency lives in the circuit's slot arena
+//! (`qcir::Circuit::next_on_wire` and friends). Transformations propose
+//! `qcir::edit::Patch`es, `guoq::CostFn::delta` prices each in O(edit
+//! span), and accepted edits are applied in place by
+//! `Circuit::apply_patch`, which relinks only the wires crossing the
+//! edit window (`crates/bench/benches/guoq_iter.rs` measures the loop).
+//! `guoq::Engine` only schedules that loop — serially, with
+//! certification, with asynchronous resynthesis, or one loop per shard —
+//! and each variant carries exactly the settings its engine reads.
+//! `tests/patch_differential.rs` checks the patches against the
+//! materializing rewrite passes and every engine for semantics,
+//! drift-free costs and ε within budget; `tests/trajectory_pin.rs` pins
+//! the serial, certifying and sharded trajectories.
 
 pub use guoq;
 pub use qcache;

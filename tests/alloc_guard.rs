@@ -77,7 +77,7 @@ fn opts(iterations: u64) -> GuoqOpts {
         temperature: 0.0,
         resynth_probability: 0.0,
         record_history: false,
-        engine: Engine::Incremental,
+        engine: Engine::Serial,
         seed: 7,
         ..Default::default()
     }

@@ -41,23 +41,23 @@ fn guoq_on_qaoa_ionq_native_output() {
 }
 
 #[test]
-fn async_resynth_clone_rebuild_combination() {
-    // An option combination no shipped binary exercises: asynchronous
-    // resynthesis layered over the clone-rebuild engine. Must still be
-    // semantics-preserving with consistent cost accounting.
+fn async_resynth_engine_preserves_semantics() {
+    // The §5.3 async engine prices each worker patch against the
+    // snapshot it was computed on and replaces the working circuit
+    // only on accept. Whatever the thread timing, the result must be
+    // equivalent, its reported cost drift-free and its ε within budget.
     let circuit = rebase(&workloads::generators::qft(4), GateSet::Nam).unwrap();
-    let g = Guoq::for_gate_set(
-        GateSet::Nam,
-        GuoqOpts {
-            async_resynth: true,
-            engine: guoq::Engine::CloneRebuild,
-            ..opts(400, 9)
-        },
-    );
-    let r = g.optimize(&circuit, &GateCount);
+    let o = GuoqOpts {
+        engine: guoq::Engine::Async,
+        resynth_probability: 0.2,
+        ..opts(400, 9)
+    };
+    let eps_total = o.eps_total;
+    let r = Guoq::for_gate_set(GateSet::Nam, o).optimize(&circuit, &GateCount);
     assert!(circuits_equivalent(&circuit, &r.circuit, 1e-4));
     assert_eq!(r.cost, GateCount.cost(&r.circuit));
     assert!(r.cost <= circuit.len() as f64);
+    assert!(r.epsilon <= eps_total, "ε {} over budget", r.epsilon);
 }
 
 #[test]

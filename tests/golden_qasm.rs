@@ -132,7 +132,7 @@ fn sharded_engine_zero_budget_is_identity_on_fixtures() {
         let circuit = qasm::from_qasm(&text).unwrap();
         let opts = GuoqOpts {
             budget: Budget::Iterations(0),
-            engine: Engine::Sharded { workers: 2 },
+            engine: Engine::sharded(2),
             ..Default::default()
         };
         let r = Guoq::for_gate_set(GateSet::Nam, opts).optimize(&circuit, &GateCount);

@@ -52,8 +52,10 @@ fn sharded_engine_preserves_semantics_across_worker_counts() {
             budget: Budget::Iterations(4000),
             eps_total: 1e-6,
             seed: 31,
-            engine: Engine::Sharded { workers },
-            shard_slice_iterations: 512,
+            engine: Engine::Sharded {
+                workers,
+                slice_iterations: 512,
+            },
             ..Default::default()
         };
         let g = Guoq::for_gate_set(qcir::GateSet::Nam, opts);
@@ -79,8 +81,10 @@ fn sharded_engine_zero_eps_budget_is_exact() {
         eps_total: 0.0,
         resynth_probability: 0.2,
         seed: 9,
-        engine: Engine::Sharded { workers: 3 },
-        shard_slice_iterations: 256,
+        engine: Engine::Sharded {
+            workers: 3,
+            slice_iterations: 256,
+        },
         ..Default::default()
     };
     let g = Guoq::for_gate_set(qcir::GateSet::Nam, opts);
@@ -200,8 +204,10 @@ proptest! {
             budget: Budget::Iterations(150),
             eps_total: 1e-6,
             seed,
-            engine: Engine::Sharded { workers },
-            shard_slice_iterations: 64,
+            engine: Engine::Sharded {
+                workers,
+                slice_iterations: 64,
+            },
             ..Default::default()
         };
         let r = Guoq::for_gate_set(qcir::GateSet::Nam, opts).optimize(&c, &GateCount);
