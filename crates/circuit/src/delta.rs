@@ -303,10 +303,11 @@ impl CircuitDelta {
         for tok in tokens {
             ops.push(decode_op(tok)?);
         }
+        // Wide enough that no declared length or op count can overflow.
         let derived = ops
             .iter()
-            .fold(base_len as isize, |n, op: &Patch| n + op.len_delta());
-        if derived != new_len as isize {
+            .fold(base_len as i128, |n, op: &Patch| n + op.len_delta() as i128);
+        if derived != new_len as i128 {
             return Err(derr(format!(
                 "ops produce {derived} instructions but n={new_len} declared"
             )));
@@ -397,11 +398,12 @@ fn decode_instruction(tok: &str) -> Result<Instruction, DeltaError> {
     let head = &tok[..colon];
     let (name, params) = match head.find('(') {
         Some(open) => {
-            let close = head
+            let after = &head[open + 1..];
+            let close = after
                 .rfind(')')
                 .ok_or_else(|| derr(format!("unclosed parameter list in `{tok}`")))?;
             let mut params = Vec::new();
-            for p in head[open + 1..close].split(',') {
+            for p in after[..close].split(',') {
                 let bits = u64::from_str_radix(p, 16)
                     .map_err(|_| derr(format!("bad hex parameter `{p}`")))?;
                 params.push(f64::from_bits(bits));
@@ -567,6 +569,20 @@ mod tests {
             "CD1 b=2 n=2 -0@0+rz(zz):0", // bad hex
         ] {
             assert!(CircuitDelta::decode(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_reversed_parameter_parens() {
+        assert!(CircuitDelta::decode("CD1 b=0 n=1 -@0+h)(:0").is_err());
+        assert!(CircuitDelta::decode("CD1 b=0 n=1 -@0+rz)0(:0").is_err());
+    }
+
+    #[test]
+    fn decode_rejects_lengths_that_wrap() {
+        for base in [isize::MAX as usize, usize::MAX] {
+            let line = format!("CD1 b={base} n=0 -@0+h:0");
+            assert!(CircuitDelta::decode(&line).is_err(), "accepted `{line}`");
         }
     }
 

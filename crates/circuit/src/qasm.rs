@@ -4,6 +4,11 @@
 //! `OPENQASM 2.0`, one `qreg`, and applications of the gates in
 //! [`crate::gate::Gate`]. Parameter expressions may use `pi`, numeric
 //! literals, unary minus, `+ - * /`, and parentheses.
+//!
+//! [`from_qasm`] returns an error, never panics, on malformed input;
+//! the register width and expression nesting are capped
+//! ([`MAX_QUBITS`], [`MAX_EXPR_DEPTH`]) so a short document can neither
+//! exhaust memory nor overflow the stack.
 
 use crate::circuit::{Circuit, Qubit};
 use crate::gate::Gate;
@@ -31,6 +36,18 @@ impl fmt::Display for QasmError {
 }
 
 impl Error for QasmError {}
+
+/// Widest `qreg` [`from_qasm`] accepts. Declaring a register
+/// allocates per-qubit wire tables up front, so without a bound a
+/// 30-byte `qreg q[4000000000];` exhausts memory. The bound sits far
+/// above the widest circuit of the `workloads` suite (36 qubits).
+pub const MAX_QUBITS: usize = 65_536;
+
+/// Deepest nesting [`from_qasm`] accepts in a parameter expression:
+/// each parenthesis and each unary sign is one level. The expression
+/// parser recurses once per level, so the bound keeps an argument such
+/// as `((((…))))` or `----…1` from overflowing the stack.
+pub const MAX_EXPR_DEPTH: usize = 64;
 
 fn err(line: usize, message: impl Into<String>) -> QasmError {
     QasmError {
@@ -156,13 +173,17 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
                 continue;
             }
             if let Some(rest) = part.strip_prefix("qreg") {
-                let rest = rest.trim();
-                let open = rest.find('[').ok_or_else(|| err(line, "malformed qreg"))?;
-                let close = rest.find(']').ok_or_else(|| err(line, "malformed qreg"))?;
-                let n: usize = rest[open + 1..close]
+                let n: usize = bracketed(rest)
+                    .ok_or_else(|| err(line, "malformed qreg"))?
                     .trim()
                     .parse()
                     .map_err(|_| err(line, "bad qreg size"))?;
+                if n > MAX_QUBITS {
+                    return Err(err(
+                        line,
+                        format!("qreg of {n} qubits exceeds the limit of {MAX_QUBITS}"),
+                    ));
+                }
                 if circuit.is_some() {
                     return Err(err(line, "multiple qreg declarations unsupported"));
                 }
@@ -182,6 +203,13 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
         }
     }
     circuit.ok_or_else(|| err(0, "no qreg declaration found"))
+}
+
+/// The text between the first `[` of `s` and the first `]` after it.
+fn bracketed(s: &str) -> Option<&str> {
+    let open = s.find('[')? + 1;
+    let close = open + s[open..].find(']')?;
+    Some(&s[open..close])
 }
 
 fn parse_gate_application(stmt: &str, line: usize, c: &mut Circuit) -> Result<(), QasmError> {
@@ -206,12 +234,12 @@ fn parse_gate_application(stmt: &str, line: usize, c: &mut Circuit) -> Result<()
     };
     let (name, params) = match head.find('(') {
         Some(i) => {
-            let close = head
+            let after = &head[i + 1..];
+            let close = after
                 .rfind(')')
                 .ok_or_else(|| err(line, "unclosed parameter list"))?;
-            let plist = &head[i + 1..close];
             let mut vals = Vec::new();
-            for e in plist.split(',') {
+            for e in after[..close].split(',') {
                 vals.push(parse_expr(e).map_err(|m| err(line, m))?);
             }
             (&head[..i], vals)
@@ -222,18 +250,16 @@ fn parse_gate_application(stmt: &str, line: usize, c: &mut Circuit) -> Result<()
     let mut qubits: Vec<Qubit> = Vec::new();
     for op in operands.split(',') {
         let op = op.trim();
-        let open = op
-            .find('[')
-            .ok_or_else(|| err(line, format!("expected q[i] operand, got `{op}`")))?;
-        let close = op
-            .find(']')
-            .ok_or_else(|| err(line, format!("expected q[i] operand, got `{op}`")))?;
-        let idx: Qubit = op[open + 1..close]
+        let idx: Qubit = bracketed(op)
+            .ok_or_else(|| err(line, format!("expected q[i] operand, got `{op}`")))?
             .trim()
             .parse()
             .map_err(|_| err(line, "bad qubit index"))?;
         if idx as usize >= c.num_qubits() {
             return Err(err(line, format!("qubit {idx} out of range")));
+        }
+        if qubits.contains(&idx) {
+            return Err(err(line, format!("gate {name} repeats operand q[{idx}]")));
         }
         qubits.push(idx);
     }
@@ -330,7 +356,7 @@ fn parse_gate_application(stmt: &str, line: usize, c: &mut Circuit) -> Result<()
 fn parse_expr(src: &str) -> Result<f64, String> {
     let tokens = tokenize(src)?;
     let mut pos = 0usize;
-    let v = parse_sum(&tokens, &mut pos)?;
+    let v = parse_sum(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(format!("trailing tokens in expression `{src}`"));
     }
@@ -381,7 +407,7 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
                 toks.push(Tok::RParen);
                 i += 1;
             }
-            'p' | 'P' if src[i..].to_ascii_lowercase().starts_with("pi") => {
+            'p' | 'P' if matches!(bytes.get(i + 1), Some(b'i' | b'I')) => {
                 toks.push(Tok::Num(std::f64::consts::PI));
                 i += 2;
             }
@@ -411,17 +437,19 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
     Ok(toks)
 }
 
-fn parse_sum(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    let mut acc = parse_product(toks, pos)?;
+/// `depth` counts the parentheses and unary signs around the current
+/// position; [`parse_atom`] refuses to nest past [`MAX_EXPR_DEPTH`].
+fn parse_sum(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let mut acc = parse_product(toks, pos, depth)?;
     while *pos < toks.len() {
         match toks[*pos] {
             Tok::Plus => {
                 *pos += 1;
-                acc += parse_product(toks, pos)?;
+                acc += parse_product(toks, pos, depth)?;
             }
             Tok::Minus => {
                 *pos += 1;
-                acc -= parse_product(toks, pos)?;
+                acc -= parse_product(toks, pos, depth)?;
             }
             _ => break,
         }
@@ -429,17 +457,17 @@ fn parse_sum(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn parse_product(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    let mut acc = parse_atom(toks, pos)?;
+fn parse_product(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let mut acc = parse_atom(toks, pos, depth)?;
     while *pos < toks.len() {
         match toks[*pos] {
             Tok::Star => {
                 *pos += 1;
-                acc *= parse_atom(toks, pos)?;
+                acc *= parse_atom(toks, pos, depth)?;
             }
             Tok::Slash => {
                 *pos += 1;
-                acc /= parse_atom(toks, pos)?;
+                acc /= parse_atom(toks, pos, depth)?;
             }
             _ => break,
         }
@@ -447,23 +475,26 @@ fn parse_product(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn parse_atom(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
+fn parse_atom(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
     match toks.get(*pos) {
         Some(Tok::Num(v)) => {
             *pos += 1;
             Ok(*v)
         }
+        Some(Tok::Minus | Tok::Plus | Tok::LParen) if depth >= MAX_EXPR_DEPTH => Err(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        )),
         Some(Tok::Minus) => {
             *pos += 1;
-            Ok(-parse_atom(toks, pos)?)
+            Ok(-parse_atom(toks, pos, depth + 1)?)
         }
         Some(Tok::Plus) => {
             *pos += 1;
-            parse_atom(toks, pos)
+            parse_atom(toks, pos, depth + 1)
         }
         Some(Tok::LParen) => {
             *pos += 1;
-            let v = parse_sum(toks, pos)?;
+            let v = parse_sum(toks, pos, depth + 1)?;
             if toks.get(*pos) != Some(&Tok::RParen) {
                 return Err("missing closing paren".into());
             }
@@ -602,5 +633,64 @@ mod tests {
         let src = "qreg q[2]; h q[0]; cx q[0],q[1];";
         let c = from_qasm(src).unwrap();
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn rejects_reversed_qreg_brackets() {
+        assert!(from_qasm("qreg q]2[;").is_err());
+    }
+
+    #[test]
+    fn rejects_reversed_operand_brackets() {
+        assert!(from_qasm("qreg q[2]; h q]0[;").is_err());
+    }
+
+    #[test]
+    fn rejects_reversed_parameter_parens() {
+        assert!(from_qasm("qreg q[2]; rz)(0 q[0];").is_err());
+    }
+
+    #[test]
+    fn rejects_repeated_two_qubit_operand() {
+        let e = from_qasm("qreg q[2]; cx q[0], q[0];").unwrap_err();
+        assert!(e.message.contains("repeats operand"), "{e}");
+    }
+
+    #[test]
+    fn rejects_repeated_three_qubit_operand() {
+        assert!(from_qasm("qreg q[3]; ccx q[0],q[1],q[0];").is_err());
+    }
+
+    #[test]
+    fn rejects_register_wider_than_the_limit() {
+        assert!(from_qasm("qreg q[4000000000];").is_err());
+        assert!(from_qasm(&format!("qreg q[{}];", MAX_QUBITS + 1)).is_err());
+        let widest = from_qasm(&format!("qreg q[{MAX_QUBITS}];")).unwrap();
+        assert_eq!(widest.num_qubits(), MAX_QUBITS);
+    }
+
+    /// `rz(` with its argument wrapped in `depth` parentheses.
+    fn nested_parens(depth: usize) -> String {
+        format!(
+            "qreg q[1]; rz({}1{}) q[0];",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn rejects_parentheses_nested_past_the_limit() {
+        assert!(from_qasm(&nested_parens(200_000)).is_err());
+        assert!(from_qasm(&nested_parens(MAX_EXPR_DEPTH + 1)).is_err());
+        assert!(from_qasm(&nested_parens(MAX_EXPR_DEPTH)).is_ok());
+    }
+
+    #[test]
+    fn rejects_unary_minus_chain_past_the_limit() {
+        let chain = |n: usize| format!("qreg q[1]; rz({}1) q[0];", "-".repeat(n));
+        assert!(from_qasm(&chain(400_000)).is_err());
+        assert!(from_qasm(&chain(MAX_EXPR_DEPTH + 1)).is_err());
+        let c = from_qasm(&chain(MAX_EXPR_DEPTH)).unwrap();
+        assert_eq!(c.instruction(0).gate, Gate::Rz(1.0));
     }
 }

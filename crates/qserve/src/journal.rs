@@ -114,8 +114,7 @@ impl JobJournal {
     /// Starts a fresh journal for `id`, truncating any existing one —
     /// finished or not. The explicit opt-in behind `SUBMIT
     /// overwrite=1`; the caller asserts the previous run's state is
-    /// disposable (e.g. the fleet router replaying a job whose journal
-    /// was damaged beyond replay).
+    /// disposable (e.g. a job whose journal was damaged beyond replay).
     pub fn create_overwriting(
         dir: &Path,
         id: u64,

@@ -23,15 +23,9 @@
 //! around the same [`Server`]; the in-process differential tests drive
 //! the [`ServerHandle`] directly.
 //!
-//! [`fleet`] scales the service across *processes*: a fault-tolerant
-//! router (binary `qfleet`) spawns N `qserve` workers over the same
-//! line protocol, places jobs by circuit fingerprint so repeat
-//! traffic lands on the warmest memo cache, and — backed by the
-//! shared journal dir and each worker's persistent cache snapshot
-//! (`--cache-snapshot`) — fails jobs over via `RESUME` when a worker
-//! dies mid-search. Its deterministic fault-injection harness
-//! ([`fleet::chaos`]) drives the chaos differential suite in
-//! `tests/fleet.rs`.
+//! With `--cache-snapshot` the process's resynthesis memo cache is
+//! persisted as a `QCSNAP1` snapshot and warm-loaded at start, so a
+//! restarted server resumes its journaled jobs with a warm cache.
 //!
 //! Guarantees (differentially tested in `tests/differential.rs`):
 //!
@@ -46,16 +40,17 @@
 //! * Cancellation (CANCEL frame, timeout, client disconnect) yields a
 //!   terminal `DONE cancelled=1` carrying the valid best-so-far, and
 //!   returns the job's worker slots to the pool (`tests/cancel.rs`).
+//! * A malformed frame, QASM payload or `EDIT` delta gets a typed
+//!   `ERROR` for its job id and the process keeps serving: the
+//!   decoders return errors instead of panicking (`tests/poison.rs`).
 
 #![warn(missing_docs)]
 
-pub mod fleet;
 pub mod journal;
 pub mod protocol;
 pub mod server;
 pub mod transport;
 
-pub use fleet::{Fleet, FleetOpts};
 pub use protocol::{
     EngineSel, Frame, FrameDecoder, JobRequest, JobSummary, Objective, StatsSnapshot,
     PROTOCOL_VERSION,

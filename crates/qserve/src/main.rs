@@ -28,8 +28,6 @@
 //!                      serve the telemetry registry as Prometheus
 //!                      text exposition over HTTP at ADDR
 //!                      (e.g. 127.0.0.1:9184; default: no endpoint)
-//!   --worker-tag TAG   label for this process's stderr diagnostics
-//!                      (fleet workers; protocol output is unchanged)
 //! ```
 //!
 //! Diagnostics go to stderr; stdout carries only protocol frames.
@@ -53,7 +51,6 @@ fn parse_gate_set(name: &str) -> Option<GateSet> {
 fn main() -> ExitCode {
     let mut opts = ServeOpts::default();
     let mut tcp_addr: Option<String> = None;
-    let mut worker_tag: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -114,7 +111,6 @@ fn main() -> ExitCode {
                     .map_err(|_| "bad --snapshot-flush-ms value".into())
             }),
             "--metrics-addr" => value("--metrics-addr").map(|v| opts.metrics_addr = Some(v)),
-            "--worker-tag" => value("--worker-tag").map(|v| worker_tag = Some(v)),
             other => Err(format!("unknown flag `{other}`")),
         };
         if let Err(e) = parsed {
@@ -123,11 +119,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let tag = worker_tag
-        .map(|t| format!("qserve[{t}]"))
-        .unwrap_or_else(|| "qserve".into());
     eprintln!(
-        "{tag}: worker budget {}, max {} queued, {} ms wall cap, gate set {:?}, cache {} gates, journal {}",
+        "qserve: worker budget {}, max {} queued, {} ms wall cap, gate set {:?}, cache {} gates, journal {}",
         opts.worker_budget,
         opts.max_queued,
         opts.max_time_ms,

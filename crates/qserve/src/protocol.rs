@@ -297,8 +297,8 @@ pub enum Frame {
     /// Client: drain and stop (stdio transport; over TCP, closing the
     /// connection has the same per-client effect).
     Shutdown,
-    /// Liveness probe (v2; the fleet router's heartbeat). A healthy
-    /// server answers [`Frame::Healthy`] out of band of any job.
+    /// Liveness and capacity probe (v2). A healthy server answers
+    /// [`Frame::Healthy`] out of band of any job.
     Health,
     /// Reply to [`Frame::Health`].
     Healthy {
@@ -317,11 +317,9 @@ pub enum Frame {
         /// Job id.
         id: u64,
         /// Backing id this job is recorded under when it differs from
-        /// `id` (the fleet router's globally unique journal id; `0` =
-        /// same as `id`). Encoded as `ref=` only when nonzero, so v1
-        /// frames are unchanged. A client holding `ref` can `RESUME`
-        /// against any router over the same journal dir, even one that
-        /// lost its in-memory id map.
+        /// `id` (`0` = same as `id`, which is all `qserve` sends).
+        /// Encoded as `ref=` only when nonzero, so v1 frames are
+        /// unchanged.
         ref_id: u64,
     },
     /// Server: a best-so-far snapshot (strict improvement stream).
@@ -410,9 +408,6 @@ pub mod codes {
     pub const JOURNAL_CONFLICT: &str = "journal-conflict";
     /// The job id collides with a live job.
     pub const ID_CONFLICT: &str = "id-conflict";
-    /// The fleet is degraded (no healthy worker can take the job
-    /// within its retry budget).
-    pub const DEGRADED: &str = "degraded";
 }
 
 /// A malformed frame line.

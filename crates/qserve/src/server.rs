@@ -453,9 +453,9 @@ impl ServerHandle {
             Frame::Resume { id } => self.resume(id, reply),
             Frame::Edit { id, delta } => self.edit(id, &delta, reply),
             Frame::Health => {
-                // Liveness + capacity probe (the fleet router's
-                // heartbeat): answered inline from the state lock, so a
-                // healthy-but-busy server still responds promptly.
+                // Liveness + capacity probe: answered inline from the
+                // state lock, so a healthy-but-busy server still
+                // responds promptly.
                 let st = self.shared.state.lock().expect("server state poisoned");
                 let live = st.tokens.len() as u64;
                 let slots = st.slots_free as u64;
@@ -1010,7 +1010,7 @@ fn watchdog_loop(shared: Arc<Shared>) {
                     id,
                     code: codes::QUEUE_TIMEOUT.into(),
                     message: format!(
-                        "queued for {} ms without starting; retry or widen the fleet",
+                        "queued for {} ms without starting; retry later",
                         shared.opts.queue_wait_ms
                     ),
                 });

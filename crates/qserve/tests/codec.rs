@@ -138,7 +138,7 @@ fn frame() -> impl Strategy<Value = Frame> {
                 "bad-request",
                 "queue-timeout",
                 "journal-conflict",
-                "degraded"
+                "id-conflict"
             ][code]
                 .to_string(),
             message,

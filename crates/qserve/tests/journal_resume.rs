@@ -14,7 +14,7 @@ use qserve::{EngineSel, Frame, ServeOpts, Server};
 use qsim::circuits_equivalent;
 use std::path::PathBuf;
 use std::time::Duration;
-use util::{request, wait_done, workload};
+use util::{request, truncate_file, wait_done, workload, ChaosRng};
 
 fn temp_journal_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -205,7 +205,6 @@ fn journal_with_clone_rebuild_submit_resumes() {
 #[test]
 fn truncation_at_any_byte_replays_to_a_usable_prefix_or_clean_error() {
     use guoq::cost::{CostFn, GateCount};
-    use qserve::fleet::{truncate_file, ChaosRng};
 
     let dir = temp_journal_dir("trunc-fuzz");
     let input = workload(200);
@@ -306,6 +305,34 @@ fn truncation_at_any_byte_replays_to_a_usable_prefix_or_clean_error() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// The fault helpers behind the truncation fuzz: the RNG replays from
+/// its seed and varies, and a cut keeps exactly the requested prefix
+/// without ever growing a shorter file.
+#[test]
+fn fault_helpers_replay_and_cut_exactly() {
+    let draws = |seed| {
+        let mut r = ChaosRng::new(seed);
+        (0..8).map(|_| r.next_u64()).collect::<Vec<_>>()
+    };
+    let a = draws(42);
+    assert_eq!(a, draws(42));
+    assert_ne!(a, draws(43));
+    assert!(a.windows(2).all(|w| w[0] != w[1]));
+    let mut r = ChaosRng::new(7);
+    assert!((0..64).all(|_| r.below(5) < 5));
+    assert_eq!(r.below(0), 0);
+
+    let dir = temp_journal_dir("fault-helpers");
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = dir.join("victim.bin");
+    std::fs::write(&p, [0u8, 1, 2, 3, 4, 5, 6, 7]).unwrap();
+    truncate_file(&p, 3).unwrap();
+    assert_eq!(std::fs::read(&p).unwrap(), vec![0, 1, 2]);
+    truncate_file(&p, 10).unwrap();
+    assert_eq!(std::fs::read(&p).unwrap(), vec![0, 1, 2]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A resume must not reset the ε budget: the continuation runs with

@@ -5,6 +5,7 @@
 use crossbeam_channel::Receiver;
 use qcir::{qasm, Circuit, Gate};
 use qserve::{EngineSel, Frame, JobRequest, JobSummary, Objective};
+use std::path::Path;
 use std::time::Duration;
 
 /// A redundancy-rich workload on 6 qubits — small enough for dense
@@ -64,4 +65,46 @@ pub fn wait_done(rx: &Receiver<Frame>, id: u64) -> JobSummary {
             return s;
         }
     }
+}
+
+/// A seeded SplitMix64 stream for fault injection: deterministic, so a
+/// failing fuzz run replays exactly from its seed.
+#[derive(Debug, Clone)]
+pub struct ChaosRng {
+    state: u64,
+}
+
+impl ChaosRng {
+    /// A stream seeded by `seed` (two equal seeds replay identically).
+    pub fn new(seed: u64) -> ChaosRng {
+        ChaosRng { state: seed }
+    }
+
+    /// Next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut x = self.state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+        x ^ (x >> 31)
+    }
+
+    /// Uniform draw in `0..n` (`0` for `n == 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        if n == 0 {
+            0
+        } else {
+            self.next_u64() % n
+        }
+    }
+}
+
+/// Truncates `path` to `keep` bytes (no-op if the file is already
+/// shorter) — the "crash mid-append" journal fault.
+pub fn truncate_file(path: &Path, keep: u64) -> std::io::Result<()> {
+    let f = std::fs::OpenOptions::new().write(true).open(path)?;
+    if f.metadata()?.len() > keep {
+        f.set_len(keep)?;
+    }
+    f.sync_all()
 }

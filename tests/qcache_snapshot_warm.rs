@@ -1,10 +1,10 @@
 //! The persistent cache tier end to end: a snapshot written after a
 //! repeat-mix warmup and loaded into a **fresh** table serves the same
 //! repeat mix exactly like the still-resident in-process table — the
-//! fleet-restart warmth guarantee. A restarted worker pointed at its
-//! snapshot must behave as if it never died: hit rate within 1% of the
-//! in-process warm rate, and ≥90% of resynthesis consults served from
-//! the snapshot.
+//! warm-restart guarantee behind `qserve --cache-snapshot`. A restarted
+//! server pointed at its snapshot must behave as if it never stopped:
+//! hit rate within 1% of the in-process warm rate, and ≥90% of
+//! resynthesis consults served from the snapshot.
 
 use guoq::cost::GateCount;
 use guoq::{Budget, Guoq, GuoqOpts, QCache};
@@ -101,8 +101,8 @@ fn snapshot_warmed_table_matches_in_process_warm_replay() {
         (snapshot_rate - resident_rate).abs() <= 0.01,
         "snapshot warm rate {snapshot_rate:.4} strays from in-process {resident_rate:.4}"
     );
-    // …and the ISSUE's fleet-restart floor: ≥90% of consults served
-    // from the snapshot.
+    // …and the warm-restart floor: ≥90% of consults served from the
+    // snapshot.
     assert!(
         snapshot_rate >= 0.90,
         "warm restart served only {:.1}% of consults from the snapshot",
