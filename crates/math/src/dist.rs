@@ -5,6 +5,7 @@
 //!
 //! `Δ(U, V) = sqrt(1 − |Tr(U†V)|² / N²)`
 
+use crate::complex::C64;
 use crate::matrix::Mat;
 
 /// Normalized trace overlap `|Tr(U†V)| / N` in `[0, 1]`.
@@ -20,7 +21,7 @@ pub fn trace_overlap(u: &Mat, v: &Mat) -> f64 {
     assert_eq!(v.rows(), v.cols(), "trace_overlap requires square matrices");
     let n = u.rows() as f64;
     // Tr(U†V) = Σ_ij conj(U_ij) V_ij — avoids forming the product.
-    let mut t = crate::complex::C64::ZERO;
+    let mut t = C64::ZERO;
     for (a, b) in u.as_slice().iter().zip(v.as_slice()) {
         t += a.conj() * *b;
     }
@@ -73,17 +74,37 @@ pub fn accurate_hs_distance(u: &Mat, v: &Mat) -> f64 {
         v.cols(),
         "accurate_hs_distance needs square matrices"
     );
-    let n = u.rows() as f64;
-    let mut w = crate::complex::C64::ZERO;
-    for (a, b) in u.as_slice().iter().zip(v.as_slice()) {
+    accurate_hs_distance_entries(u.as_slice(), v.as_slice(), u.rows())
+}
+
+/// [`accurate_hs_distance`] over the row-major entries of two `dim × dim`
+/// matrices, for callers that keep their matrices outside [`Mat`].
+///
+/// # Panics
+///
+/// Panics if either slice does not hold `dim²` entries.
+pub fn accurate_hs_distance_entries(u: &[C64], v: &[C64], dim: usize) -> f64 {
+    assert_eq!(
+        u.len(),
+        dim * dim,
+        "dimension mismatch in accurate_hs_distance"
+    );
+    assert_eq!(
+        v.len(),
+        dim * dim,
+        "dimension mismatch in accurate_hs_distance"
+    );
+    let n = dim as f64;
+    let mut w = C64::ZERO;
+    for (a, b) in u.iter().zip(v) {
         w += a.conj() * *b;
     }
     if w.abs() < 1e-12 {
         return 1.0;
     }
-    let phase = crate::complex::C64::cis(-w.arg());
+    let phase = C64::cis(-w.arg());
     let mut d2 = 0.0;
-    for (a, b) in u.as_slice().iter().zip(v.as_slice()) {
+    for (a, b) in u.iter().zip(v) {
         d2 += (*b * phase - *a).norm_sqr();
     }
     // 1 − |w|/N = d² / (2N); Δ = sqrt(x·(2−x)) with x = 1 − |w|/N.
@@ -105,7 +126,6 @@ pub fn phase_equiv(u: &Mat, v: &Mat, tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::C64;
     use crate::gates;
 
     #[test]

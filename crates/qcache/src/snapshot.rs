@@ -116,16 +116,17 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
 fn encode_payload(fp: &Fingerprint, view: &EntryView<'_>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(32);
     buf.push(match view {
-        EntryView::Positive { .. } => RECORD_POSITIVE,
+        EntryView::Positive(_) => RECORD_POSITIVE,
         EntryView::Negative { .. } => RECORD_NEGATIVE,
     });
     push_u64(&mut buf, fp.hash());
     push_u32(&mut buf, fp.dim() as u32);
     buf.push(fp.gate_set().id() as u8);
     match view {
-        EntryView::Positive { circuit, unitary } => {
-            let delta = CircuitDelta::diff(&Circuit::new(circuit.num_qubits()), circuit).encode();
-            let cells = unitary.as_slice();
+        EntryView::Positive(entry) => {
+            let circuit = entry.circuit();
+            let delta = CircuitDelta::diff(&Circuit::new(circuit.num_qubits()), &circuit).encode();
+            let cells = entry.unitary().as_slice();
             buf.reserve(12 + delta.len() + cells.len() * 16);
             push_u32(&mut buf, circuit.num_qubits() as u32);
             push_u32(&mut buf, delta.len() as u32);
@@ -351,7 +352,7 @@ impl QCache {
             }
             match decode_payload(&payload) {
                 Some(Decoded::Positive(fp, circuit, unitary)) => {
-                    self.insert_loaded(fp, circuit, unitary);
+                    self.insert_loaded(fp, &circuit, unitary);
                     stats.records += 1;
                 }
                 Some(Decoded::Negative(fp, eps, max_len)) => {

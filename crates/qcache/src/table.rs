@@ -1,7 +1,7 @@
 //! The lock-striped, bounded, LRU-evicting resynthesis memo table.
 
 use crate::fingerprint::Fingerprint;
-use qcir::Circuit;
+use qcir::{Circuit, Instruction};
 use qmath::dist::accurate_hs_distance;
 use qmath::Mat;
 use std::collections::HashMap;
@@ -120,15 +120,15 @@ pub struct CacheHit {
     pub epsilon: f64,
 }
 
-// Positive entries dominate a warm cache, so sizing entries for the
-// circuit + unitary payload is the common case, not waste; negative
-// entries are comparatively rare.
-#[allow(clippy::large_enum_variant)]
+/// A resident entry's payload. Every map slot pays the enum's inline
+/// size, so the positive payload lives behind one box and stores only
+/// the gate list of its circuit (the `Circuit` arena is rebuilt on a
+/// hit): a negative entry costs its slot and nothing more.
 enum Stored {
     /// A synthesized replacement circuit plus its true unitary (stored
     /// so verification costs one small matrix comparison instead of a
     /// circuit simulation).
-    Positive { circuit: Circuit, unitary: Mat },
+    Positive(Box<Replacement>),
     /// Synthesis *failed* for this fingerprint at tolerance `eps` under
     /// a replacement-length budget of `max_len` — the loosest (ε,
     /// budget) a failure has been observed at. Served for queries at
@@ -150,6 +150,38 @@ enum Stored {
     },
 }
 
+/// A positive entry's payload: the replacement circuit as its gate list,
+/// and the circuit's true unitary.
+pub(crate) struct Replacement {
+    n_qubits: usize,
+    instrs: Box<[Instruction]>,
+    unitary: Mat,
+}
+
+impl Replacement {
+    fn new(circuit: &Circuit, unitary: Mat) -> Box<Self> {
+        Box::new(Replacement {
+            n_qubits: circuit.num_qubits(),
+            instrs: circuit.instructions().into(),
+            unitary,
+        })
+    }
+
+    /// The replacement circuit, rebuilt from its gate list.
+    pub(crate) fn circuit(&self) -> Circuit {
+        Circuit::from_instructions(self.n_qubits, self.instrs.to_vec())
+    }
+
+    /// The circuit's true unitary.
+    pub(crate) fn unitary(&self) -> &Mat {
+        &self.unitary
+    }
+
+    fn weight(&self) -> usize {
+        self.instrs.len().max(1)
+    }
+}
+
 struct Entry {
     stored: Stored,
     weight: usize,
@@ -160,10 +192,7 @@ struct Entry {
 /// [`QCache::for_each_entry`] (the snapshot writer's iteration).
 pub(crate) enum EntryView<'a> {
     /// A synthesized replacement and its true unitary.
-    Positive {
-        circuit: &'a Circuit,
-        unitary: &'a Mat,
-    },
+    Positive(&'a Replacement),
     /// A current-epoch known-failure marker.
     Negative { eps: f64, max_len: usize },
 }
@@ -340,8 +369,8 @@ impl QCache {
                     Lookup::Miss
                 }
             }
-            Stored::Positive { circuit, unitary } => {
-                if circuit.len() > max_len {
+            Stored::Positive(rep) => {
+                if rep.instrs.len() > max_len {
                     // Producible-by-fresh-synthesis contract: the entry
                     // (synthesized under some other window's budget) is
                     // longer than this caller's own synthesis could
@@ -349,20 +378,20 @@ impl QCache {
                     self.misses.inc();
                     return Lookup::Miss;
                 }
-                if unitary.rows() != target.rows() {
+                if rep.unitary.rows() != target.rows() {
                     // Cannot happen through `fingerprint` (the dim is
                     // part of the key), but a defensive reject beats a
                     // panic.
                     self.verify_rejects.inc();
                     return Lookup::Miss;
                 }
-                let measured = accurate_hs_distance(target, unitary);
+                let measured = accurate_hs_distance(target, &rep.unitary);
                 if measured > eps {
                     self.verify_rejects.inc();
                     return Lookup::Miss;
                 }
                 let hit = CacheHit {
-                    circuit: circuit.clone(),
+                    circuit: rep.circuit(),
                     epsilon: measured,
                 };
                 stripe.clock += 1;
@@ -384,15 +413,9 @@ impl QCache {
             "insert contract violated: supplied unitary is not the circuit's"
         );
         debug_assert_eq!(unitary.rows(), fp.dim(), "unitary/fingerprint dim mismatch");
-        let weight = circuit.len().max(1);
-        self.store(
-            fp,
-            Stored::Positive {
-                circuit: circuit.clone(),
-                unitary,
-            },
-            weight,
-        );
+        let entry = Replacement::new(circuit, unitary);
+        let weight = entry.weight();
+        self.store(fp, Stored::Positive(entry), weight);
     }
 
     /// Inserts a positive entry restored from a persisted snapshot.
@@ -405,9 +428,10 @@ impl QCache {
     /// file). Verify-on-hit makes any such entry a harmless
     /// `verify_reject`; aborting the load would turn a recoverable
     /// corruption into downtime.
-    pub(crate) fn insert_loaded(&self, fp: Fingerprint, circuit: Circuit, unitary: Mat) {
-        let weight = circuit.len().max(1);
-        self.store(fp, Stored::Positive { circuit, unitary }, weight);
+    pub(crate) fn insert_loaded(&self, fp: Fingerprint, circuit: &Circuit, unitary: Mat) {
+        let entry = Replacement::new(circuit, unitary);
+        let weight = entry.weight();
+        self.store(fp, Stored::Positive(entry), weight);
     }
 
     /// The raw budget-profile stamp (see
@@ -449,9 +473,7 @@ impl QCache {
                 .iter()
                 .filter_map(|(fp, e)| {
                     let view = match &e.stored {
-                        Stored::Positive { circuit, unitary } => {
-                            EntryView::Positive { circuit, unitary }
-                        }
+                        Stored::Positive(rep) => EntryView::Positive(rep),
                         Stored::Negative {
                             eps,
                             max_len,
@@ -489,7 +511,7 @@ impl QCache {
         let mut stripe = self.stripe(&fp).lock().expect("qcache stripe poisoned");
         let (eps, max_len) = match stripe.map.get(&fp) {
             Some(Entry {
-                stored: Stored::Positive { .. },
+                stored: Stored::Positive(_),
                 ..
             }) => return, // a servable replacement trumps a failure marker
             Some(Entry {
@@ -642,6 +664,15 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.verify_rejects), (1, 1, 0));
         assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn map_values_stay_compact() {
+        // Every slot of a stripe's map pays the value's inline size,
+        // negative entries included; a positive payload sits behind one
+        // box.
+        let size = std::mem::size_of::<Entry>();
+        assert!(size <= 64, "map value is {size} bytes inline");
     }
 
     #[test]
