@@ -460,11 +460,16 @@ impl Arena {
         if s & 63 == 0 {
             self.alive.push(0);
         }
-        // Fenwick append: the new node covers `(p - lowbit(p), p]`.
+        // Fenwick append: the new node covers `(p - lowbit(p), p]`. With
+        // no tombstones every slot it covers but the new one is live.
         let p = self.fen.len();
         let lb = p & p.wrapping_neg();
-        let v = (self.live - self.prefix(p - lb)) as u32;
-        self.fen.push(v);
+        let v = if self.live == s {
+            lb - 1
+        } else {
+            self.live - self.prefix(p - lb)
+        };
+        self.fen.push(v as u32);
         s
     }
 
@@ -492,7 +497,10 @@ impl Arena {
                 }
             }
             None => {
-                let mut s = if self.live == 0 {
+                // Without tombstones the tail slot is the next one: O(1).
+                let mut s = if self.live == self.capacity() {
+                    self.capacity()
+                } else if self.live == 0 {
                     0
                 } else {
                     self.select(self.live - 1) + 1
@@ -677,8 +685,20 @@ impl Circuit {
     ///
     /// Panics if any instruction references a qubit `≥ n_qubits`.
     pub fn from_instructions(n_qubits: usize, instrs: Vec<Instruction>) -> Self {
+        let c = Circuit::from_slice(n_qubits, &instrs);
+        let _ = c.cache.set(instrs);
+        c
+    }
+
+    /// Builds the arena compactly from `instrs` in one pass, without
+    /// keeping a positional copy of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any instruction references a qubit `≥ n_qubits`.
+    pub(crate) fn from_slice(n_qubits: usize, instrs: &[Instruction]) -> Self {
         let mut counts = GateCounts::default();
-        for ins in &instrs {
+        for ins in instrs {
             for &q in ins.qubits() {
                 assert!(
                     (q as usize) < n_qubits,
@@ -688,14 +708,12 @@ impl Circuit {
             counts.add(ins);
         }
         let mut arena = Arena::new(n_qubits);
-        arena.rebuild(&instrs);
-        let cache = OnceLock::new();
-        let _ = cache.set(instrs);
+        arena.rebuild(instrs);
         Circuit {
             n_qubits,
             arena,
             counts,
-            cache,
+            cache: OnceLock::new(),
         }
     }
 
@@ -831,6 +849,20 @@ impl Circuit {
     /// The instructions in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, Instruction> {
         self.instructions().iter()
+    }
+
+    /// Calls `f(kind, params, qubits)` for every instruction in program
+    /// order, straight from the arena: nothing is materialized or cached.
+    pub(crate) fn for_each_slot(&self, mut f: impl FnMut(GateKind, &[f64], &[Qubit])) {
+        let a = &self.arena;
+        for s in a.live_slots() {
+            let kind = a.kinds[s];
+            f(
+                kind,
+                &a.params[s][..kind.num_params()],
+                &a.qs[s][..kind.arity()],
+            );
+        }
     }
 
     /// The instructions as a slice (materialized lazily from the arena
@@ -1472,6 +1504,60 @@ mod tests {
         check_arena(&c);
         c.revert_patch(&undo);
         assert_eq!(c.len(), 8);
+        check_arena(&c);
+    }
+
+    /// Slot-for-slot equality of two arenas.
+    fn assert_same_arena(a: &Arena, b: &Arena) {
+        assert_eq!(a.kinds, b.kinds, "kinds");
+        assert_eq!(a.params, b.params, "params");
+        assert_eq!(a.qs, b.qs, "operands");
+        assert_eq!(a.alive, b.alive, "liveness");
+        assert_eq!(a.next, b.next, "next links");
+        assert_eq!(a.prev, b.prev, "prev links");
+        assert_eq!((&a.first, &a.last), (&b.first, &b.last), "wire ends");
+        assert_eq!(a.fen, b.fen, "Fenwick tree");
+        assert_eq!(a.live, b.live, "live count");
+    }
+
+    #[test]
+    fn appends_build_the_compact_arena() {
+        let mut rng = Lcg(0x5EED);
+        for n in [0usize, 1, 2, 63, 64, 65, 127, 128, 129, 300] {
+            let list: Vec<Instruction> = (0..n).map(|_| random_instruction(&mut rng, 5)).collect();
+            let mut appended = Circuit::new(5);
+            for &ins in &list {
+                appended.push_instruction(ins);
+            }
+            let built = Circuit::from_instructions(5, list);
+            assert_same_arena(&appended.arena, &built.arena);
+            check_arena(&appended);
+            for pos in 0..n {
+                assert_eq!(appended.id_at(pos), built.id_at(pos));
+            }
+        }
+    }
+
+    #[test]
+    fn append_after_a_removal_takes_the_general_path() {
+        let mut rng = Lcg(0xD1CE);
+        let list: Vec<Instruction> = (0..70).map(|_| random_instruction(&mut rng, 4)).collect();
+        // A dead tail slot is reused rather than left behind.
+        let mut c = Circuit::from_instructions(4, list.clone());
+        c.apply_patch(&Patch::new(vec![69], Vec::new(), 69));
+        c.push(Gate::H, &[2]);
+        assert_eq!(c.arena.capacity(), 70);
+        assert_eq!(c.id_at(69), 69);
+        check_arena(&c);
+        // A dead slot mid-arena: appends go past the tail, and every
+        // Fenwick node they add counts the hole.
+        let mut c = Circuit::from_instructions(4, list);
+        c.apply_patch(&Patch::new(vec![10], Vec::new(), 10));
+        for _ in 0..60 {
+            c.push_instruction(random_instruction(&mut rng, 4));
+        }
+        assert_eq!(c.arena.capacity(), 130);
+        assert!(!c.is_live_id(10));
         check_arena(&c);
     }
 

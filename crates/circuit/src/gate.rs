@@ -141,35 +141,7 @@ impl Gate {
 
     /// Lower-case OpenQASM-style mnemonic.
     pub fn name(self) -> &'static str {
-        use Gate::*;
-        match self {
-            X => "x",
-            Y => "y",
-            Z => "z",
-            H => "h",
-            S => "s",
-            Sdg => "sdg",
-            T => "t",
-            Tdg => "tdg",
-            Sx => "sx",
-            Sxdg => "sxdg",
-            Rx(_) => "rx",
-            Ry(_) => "ry",
-            Rz(_) => "rz",
-            P(_) => "p",
-            U2(..) => "u2",
-            U3(..) => "u3",
-            Cx => "cx",
-            Cz => "cz",
-            Cp(_) => "cp",
-            Crz(_) => "crz",
-            Swap => "swap",
-            Rxx(_) => "rxx",
-            Ryy(_) => "ryy",
-            Rzz(_) => "rzz",
-            Ccx => "ccx",
-            Ccz => "ccz",
-        }
+        self.kind().name()
     }
 
     /// Rotation parameters of the gate, in declaration order.
@@ -504,6 +476,39 @@ impl GateKind {
     /// Number of distinct gate kinds (for dense per-kind tables).
     pub const COUNT: usize = 26;
 
+    /// Lower-case OpenQASM-style mnemonic of gates of this kind.
+    pub fn name(self) -> &'static str {
+        use GateKind::*;
+        match self {
+            X => "x",
+            Y => "y",
+            Z => "z",
+            H => "h",
+            S => "s",
+            Sdg => "sdg",
+            T => "t",
+            Tdg => "tdg",
+            Sx => "sx",
+            Sxdg => "sxdg",
+            Rx => "rx",
+            Ry => "ry",
+            Rz => "rz",
+            P => "p",
+            U2 => "u2",
+            U3 => "u3",
+            Cx => "cx",
+            Cz => "cz",
+            Cp => "cp",
+            Crz => "crz",
+            Swap => "swap",
+            Rxx => "rxx",
+            Ryy => "ryy",
+            Rzz => "rzz",
+            Ccx => "ccx",
+            Ccz => "ccz",
+        }
+    }
+
     /// Number of qubits gates of this kind act on.
     pub fn arity(self) -> usize {
         use GateKind::*;
@@ -616,6 +621,14 @@ mod tests {
         Gate::Ccx,
         Gate::Ccz,
     ];
+
+    #[test]
+    fn kind_names_read_back_as_the_gate() {
+        for &g in ALL {
+            let params: Vec<f64> = g.params().into_iter().collect();
+            assert_eq!(Gate::from_name(g.kind().name(), &params), Some(g));
+        }
+    }
 
     #[test]
     fn adjoint_inverts() {

@@ -206,7 +206,9 @@ impl Certificate {
             gates.ok_or("missing gates")?,
             count.ok_or("missing stamps")?,
         );
-        let mut stamps = Vec::with_capacity(count);
+        // `count` is untrusted: let the vector grow with the lines that
+        // are really there instead of reserving for it up front.
+        let mut stamps = Vec::new();
         for line in lines.take(count) {
             let mut parts = line.split_ascii_whitespace();
             let mut next = || -> Result<u64, String> {
@@ -405,6 +407,16 @@ mod tests {
         assert_eq!(decoded, c);
         assert!(Certificate::decode("garbage").is_err());
         assert!(Certificate::decode("QCERT1 budget=1 gates=4 stamps=1\n2 9 1\n").is_err());
+    }
+
+    #[test]
+    fn huge_stamp_count_is_truncated_not_reserved() {
+        // Reserving 10^11 stamps aborted the process before any line
+        // was read.
+        assert_eq!(
+            Certificate::decode("QCERT1 budget=1 gates=1 stamps=100000000000\n"),
+            Err("truncated certificate".to_string())
+        );
     }
 
     #[test]

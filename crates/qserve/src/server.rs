@@ -1240,7 +1240,12 @@ impl ImprovementStream {
         cancel: &CancelToken,
         journal: &mut Option<JobJournal>,
     ) {
-        let snapshot = || Frame::Snapshot {
+        // The journal and the client often checkpoint on the same
+        // improvement: render the snapshot and encode the delta at most
+        // once each. The journal borrows the snapshot; the client, served
+        // last, takes it. A delta's `seq` differs between the two, so
+        // only its text is shared.
+        let make_snapshot = || Frame::Snapshot {
             id,
             cost,
             epsilon,
@@ -1248,14 +1253,16 @@ impl ImprovementStream {
             seconds,
             qasm: qasm::to_qasm_line(best),
         };
-        let delta_frame = |seq: u64| Frame::Delta {
+        let mut snapshot = None;
+        let mut delta_text = None;
+        let mut delta_frame = |seq: u64| Frame::Delta {
             id,
             seq,
             cost,
             epsilon,
             iterations,
             seconds,
-            delta: delta.encode(),
+            delta: delta_text.get_or_insert_with(|| delta.encode()).clone(),
         };
 
         // Journal first (lossless, fsync at checkpoints): the journal
@@ -1266,9 +1273,9 @@ impl ImprovementStream {
                 // Resync after a failed append: the replayable suffix
                 // must restart absolutely, behind a terminator that
                 // closes any torn partial line the failure left.
-                j.append_resync(&snapshot())
+                j.append_resync(snapshot.get_or_insert_with(make_snapshot))
             } else if self.journal_since_checkpoint >= self.checkpoint_every {
-                j.append_synced(&snapshot())
+                j.append_synced(snapshot.get_or_insert_with(make_snapshot))
             } else {
                 self.journal_seq += 1;
                 j.append(&delta_frame(self.journal_seq))
@@ -1295,7 +1302,7 @@ impl ImprovementStream {
             let want_full =
                 self.needs_resync || self.client_since_checkpoint >= self.checkpoint_every;
             if want_full {
-                if send_snapshot(reply, cancel, snapshot()) {
+                if send_snapshot(reply, cancel, snapshot.take().unwrap_or_else(make_snapshot)) {
                     self.needs_resync = false;
                     self.client_since_checkpoint = 0;
                 } else {
@@ -1310,7 +1317,7 @@ impl ImprovementStream {
                 self.needs_resync = true;
             }
         } else {
-            let _ = send_snapshot(reply, cancel, snapshot());
+            let _ = send_snapshot(reply, cancel, snapshot.take().unwrap_or_else(make_snapshot));
         }
     }
 }

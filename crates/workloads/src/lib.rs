@@ -18,4 +18,7 @@
 pub mod generators;
 pub mod suite;
 
+/// The gate sets [`suite`] assembles for, nameable without a direct
+/// dependency on `qcir`.
+pub use qcir::GateSet;
 pub use suite::{suite, Benchmark, SuiteScale};
