@@ -3,8 +3,12 @@
 //! Supports the fragment needed to interchange benchmark circuits:
 //! `OPENQASM 2.0`, one `qreg`, and applications of the gates in
 //! [`crate::gate::Gate`] (named as [`Gate::from_name`] names them, plus
-//! `CX` and `id`). Parameter expressions may use `pi`, numeric
-//! literals, unary minus, `+ - * /`, and parentheses.
+//! `CX` and `id`) to operands of the form `name[i]` on that register.
+//! Parameter expressions may use `pi`, numeric literals, unary minus,
+//! `+ - * /`, and parentheses. `creg` declarations are skipped.
+//! `measure` and `barrier` are refused: a circuit is read only if it
+//! can be kept whole, since dropping either would let the optimizer
+//! rewrite across it and serve a circuit that is not the one sent.
 //!
 //! Both directions make one pass: [`from_qasm`] over the text, the
 //! writers over the circuit's arena. [`from_qasm`] returns an error,
@@ -176,16 +180,18 @@ fn push_param(out: &mut String, p: f64, scratch: &mut String) {
 ///
 /// # Errors
 ///
-/// Returns [`QasmError`] on unsupported statements, unknown gates, a
-/// parameter count the gate does not take, malformed expressions, or
-/// qubit indices out of range.
+/// Returns [`QasmError`], with the line of the statement, on `measure`
+/// and `barrier`, other unsupported statements, unknown gates, a
+/// parameter count the gate does not take, malformed expressions, an
+/// operand that is not `name[i]` on the declared register, or qubit
+/// indices out of range.
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
     let statements = Statements {
         text,
         pos: 0,
         line: 1,
     };
-    let mut n_qubits = None;
+    let mut register: Option<Register> = None;
     let mut instrs = Vec::new();
     let mut operands = Vec::new();
     for (line, raw) in statements {
@@ -194,8 +200,15 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
             continue;
         }
         if let Some(rest) = stmt.strip_prefix("qreg") {
-            let n: usize = bracketed(rest)
-                .ok_or_else(|| err(line, "malformed qreg"))?
+            let (name, size) = indexed(rest)
+                .filter(|&(name, _)| is_identifier(name))
+                .ok_or_else(|| {
+                    err(
+                        line,
+                        format!("malformed register declaration `{}`", rest.trim()),
+                    )
+                })?;
+            let n: usize = size
                 .trim()
                 .parse()
                 .map_err(|_| err(line, "bad qreg size"))?;
@@ -205,20 +218,35 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
                     format!("qreg of {n} qubits exceeds the limit of {MAX_QUBITS}"),
                 ));
             }
-            if n_qubits.is_some() {
+            if register.is_some() {
                 return Err(err(line, "multiple qreg declarations unsupported"));
             }
-            n_qubits = Some(n);
+            register = Some(Register { name, size: n });
             continue;
         }
-        if stmt.starts_with("creg") || stmt.starts_with("barrier") || stmt.starts_with("measure") {
-            continue; // ignored: classical bookkeeping
+        for keyword in ["measure", "barrier"] {
+            if stmt.starts_with(keyword) {
+                return Err(err(
+                    line,
+                    format!("`{keyword}` is not supported: only unitary gates can be optimized"),
+                ));
+            }
         }
-        let n = n_qubits.ok_or_else(|| err(line, "gate before qreg declaration"))?;
-        instrs.extend(gate_application(stmt, n, &mut operands).map_err(|m| err(line, m))?);
+        if stmt.starts_with("creg") {
+            continue; // classical bits: nothing reads them
+        }
+        let reg = register.ok_or_else(|| err(line, "gate before qreg declaration"))?;
+        instrs.extend(gate_application(stmt, reg, &mut operands).map_err(|m| err(line, m))?);
     }
-    let n = n_qubits.ok_or_else(|| err(0, "no qreg declaration found"))?;
-    Ok(Circuit::from_slice(n, &instrs))
+    let reg = register.ok_or_else(|| err(0, "no qreg declaration found"))?;
+    Ok(Circuit::from_slice(reg.size, &instrs))
+}
+
+/// The document's one quantum register.
+#[derive(Clone, Copy)]
+struct Register<'a> {
+    name: &'a str,
+    size: usize,
 }
 
 /// The statements of a document with their 1-based line numbers. A
@@ -279,28 +307,47 @@ fn find_byte(s: &str, from: usize, byte: u8) -> Option<usize> {
         .map(|k| from + k)
 }
 
-/// The text between the first `[` of `s` and the first `]` after it.
-fn bracketed(s: &str) -> Option<&str> {
-    let open = find_byte(s, 0, b'[')? + 1;
-    let close = find_byte(s, open, b']')?;
-    Some(&s[open..close])
+/// `name[index]`, with blanks allowed around each part, split into its
+/// name and index text; `None` for any other text, such as text after
+/// the `]`.
+fn indexed(s: &str) -> Option<(&str, &str)> {
+    let s = s.trim();
+    let open = find_byte(s, 0, b'[')?;
+    let close = find_byte(s, open + 1, b']')?;
+    (close + 1 == s.len()).then(|| (s[..open].trim(), &s[open + 1..close]))
 }
 
-/// A qubit operand: the bracketed index of `q[i]`, whatever the text
-/// around the brackets.
-fn operand(op: &str) -> Result<Qubit, String> {
-    bracketed(op)
-        .ok_or_else(|| format!("expected q[i] operand, got `{}`", op.trim()))?
-        .trim()
-        .parse()
-        .map_err(|_| "bad qubit index".to_string())
+/// An OpenQASM identifier: a letter or `_`, then letters, digits and
+/// `_`.
+fn is_identifier(s: &str) -> bool {
+    let mut bytes = s.bytes();
+    bytes
+        .next()
+        .is_some_and(|b| b.is_ascii_alphabetic() || b == b'_')
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
+}
+
+/// A qubit operand: the index of `name[i]`, where `name` is the
+/// declared register's.
+fn operand(op: &str, reg: Register) -> Result<Qubit, String> {
+    match indexed(op) {
+        Some((name, index)) if name == reg.name => index
+            .trim()
+            .parse()
+            .map_err(|_| "bad qubit index".to_string()),
+        _ => Err(format!(
+            "operand `{}` is not an index into register `{}`",
+            op.trim(),
+            reg.name
+        )),
+    }
 }
 
 /// Reads one gate statement (trimmed, non-empty): `None` for an `id`,
 /// which is dropped. `qubits` is scratch space for the operands.
 fn gate_application(
     stmt: &str,
-    n_qubits: usize,
+    reg: Register,
     qubits: &mut Vec<Qubit>,
 ) -> Result<Option<Instruction>, String> {
     let (head, operand_list) = split_head(stmt)?;
@@ -328,8 +375,8 @@ fn gate_application(
 
     qubits.clear();
     for op in pieces(operand_list) {
-        let idx = operand(op)?;
-        if idx as usize >= n_qubits {
+        let idx = operand(op, reg)?;
+        if idx as usize >= reg.size {
             return Err(format!("qubit {idx} out of range"));
         }
         if qubits.contains(&idx) {
@@ -719,16 +766,46 @@ mod tests {
     }
 
     #[test]
-    fn ignores_comments_and_measure() {
-        let src = r#"
-            OPENQASM 2.0;
-            qreg q[2]; creg c[2];
-            h q[0]; // a comment
-            measure q[0] -> c[0];
-            barrier q[0], q[1];
-        "#;
-        let c = from_qasm(src).unwrap();
-        assert_eq!(c.len(), 1);
+    fn skips_comments_and_creg_but_refuses_measure_and_barrier() {
+        let src = "OPENQASM 2.0;\nqreg q[2]; creg c[2];\nh q[0]; // a comment\n";
+        assert_eq!(from_qasm(src).unwrap().len(), 1);
+        for (stmt, keyword) in [
+            ("measure q[0] -> c[0];", "measure"),
+            ("barrier q[0], q[1];", "barrier"),
+        ] {
+            let e = from_qasm(&format!("{src}{stmt}\nh q[0];\n")).unwrap_err();
+            assert_eq!(e.line, 4, "{e}");
+            assert!(e.message.contains(keyword), "{e}");
+        }
+        // Read without the measurement, this was H·H: an empty circuit.
+        assert!(from_qasm("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0]; h q[0];").is_err());
+    }
+
+    #[test]
+    fn operands_must_index_the_declared_register() {
+        for src in [
+            "qreg q[2]; h r[0];",
+            "qreg q[2]; cx junk[0]tail, q[1];",
+            "qreg q[2]; cx q[0], q[1]tail;",
+            "qreg q[2]; h qq[0];",
+            "qreg q[2]; h q[0]];",
+            "qreg q[2]; h [0];",
+            "qreg q[2]; u3(1, 2, 3)x q[0];",
+        ] {
+            let e = from_qasm(src).unwrap_err();
+            assert!(e.message.contains("register `q`"), "{src}: {e}");
+        }
+        for src in ["qreg [2];", "qreg q[2]junk;", "qreg 2q[2];"] {
+            let e = from_qasm(src).unwrap_err();
+            assert!(e.message.contains("register declaration"), "{src}: {e}");
+        }
+        // Any register name reads, with blanks around the parts of an
+        // operand, as the same circuit.
+        let named = from_qasm("qreg a_1 [2]; cx a_1[0], a_1 [ 1 ]; h a_1[1];").unwrap();
+        assert_eq!(
+            named,
+            from_qasm("qreg q[2]; cx q[0],q[1]; h q[1];").unwrap()
+        );
     }
 
     #[test]
@@ -822,11 +899,12 @@ mod tests {
 
     #[test]
     fn keeps_the_permissive_forms_of_the_split_reader() {
-        // Statements end at a newline as well as at `;`, operand text
-        // outside the brackets is ignored, `id` takes any operands and
-        // is dropped, and the head may run up to the first `)` when its
-        // parameter list holds spaces.
-        let src = "qreg r[3]\nh junk[0]tail\nid q[0],q[1],q[2]\nrz(pi / 2)q[1]\nu3(1, 2 ,3)x q[2];";
+        // Statements end at a newline as well as at `;`, `id` takes any
+        // operands and is dropped, and the head may run up to the first
+        // `)` when its parameter list holds spaces. (Operand text
+        // outside the brackets is refused:
+        // `operands_must_index_the_declared_register`.)
+        let src = "qreg r[3]\nh r[0]\nid r[0],r[1],r[2]\nrz(pi / 2)r[1]\nu3(1, 2 ,3) r[2];";
         let c = from_qasm(src).unwrap();
         assert_eq!(c, oracle::from_qasm(src).unwrap());
         assert_eq!(c.len(), 3);

@@ -82,25 +82,36 @@ pub enum Engine {
     /// [`Guoq::rewrite_only`]) there is nothing to run asynchronously
     /// and the search is exactly [`Engine::Serial`].
     Async,
-    /// Region-partitioned parallel search: `workers` threads each drive
-    /// a [`ShardDriver`] over a contiguous shard of the circuit; a
+    /// Region-partitioned parallel search: pool threads each drive a
+    /// [`ShardDriver`] over a contiguous shard of the circuit; a
     /// coordinator commits shard results and rotates shard boundaries
     /// every epoch (see [`crate::sharded`]). Resynthesis runs
-    /// synchronously inside each worker.
+    /// synchronously inside each thread.
+    ///
+    /// `workers` fixes the shard plan; `threads` only says how many pool
+    /// threads run it. Without a shared [`GuoqOpts::cache`], an
+    /// iteration-budgeted result does not depend on `threads`, so a
+    /// server granted fewer slots than `workers` serves the circuit the
+    /// full grant would have.
     Sharded {
-        /// Worker threads in the shard pool (clamped to ≥ 1).
+        /// Planned workers (clamped to ≥ 1): the shard count, the task
+        /// seeds and the task homes follow from it.
         workers: usize,
+        /// Pool threads that run the plan (clamped to `1..=workers`).
+        threads: usize,
         /// Iterations each shard runs between commits (clamped to ≥ 1).
         slice_iterations: u64,
     },
 }
 
 impl Engine {
-    /// The sharded engine with `workers` threads and the default epoch
-    /// cadence ([`DEFAULT_SLICE_ITERATIONS`]).
+    /// The sharded engine with `workers` planned workers, one thread
+    /// each, and the default epoch cadence
+    /// ([`DEFAULT_SLICE_ITERATIONS`]).
     pub fn sharded(workers: usize) -> Self {
         Engine::Sharded {
             workers,
+            threads: workers,
             slice_iterations: DEFAULT_SLICE_ITERATIONS,
         }
     }
@@ -398,8 +409,9 @@ impl Guoq {
         let mut result = match &self.opts.engine {
             Engine::Sharded {
                 workers,
+                threads,
                 slice_iterations,
-            } => self.optimize_sharded(circuit, cost, *workers, *slice_iterations, obs),
+            } => self.optimize_sharded(circuit, cost, *workers, *threads, *slice_iterations, obs),
             Engine::Async if !self.slow.is_empty() => self.optimize_async(circuit, cost, obs),
             Engine::Serial | Engine::Certifying { .. } | Engine::Async => {
                 self.optimize_serial(circuit, cost, obs)
@@ -710,6 +722,7 @@ mod tests {
             budget: Budget::Iterations(4000),
             engine: Engine::Sharded {
                 workers: 2,
+                threads: 2,
                 slice_iterations: 128,
             },
             seed: 3,
@@ -828,6 +841,7 @@ mod tests {
             budget: Budget::Iterations(4000),
             engine: Engine::Sharded {
                 workers: 2,
+                threads: 2,
                 slice_iterations: 128,
             },
             seed: 3,

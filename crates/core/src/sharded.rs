@@ -7,7 +7,8 @@
 //! slice, and the coordinator concatenates the optimized shards back
 //! into the master circuit every epoch, rotating the partition
 //! boundaries between epochs so cross-boundary optimizations are not
-//! permanently blocked.
+//! permanently blocked. The plan is sized by the variant's `workers`;
+//! its `threads` only set how many pool threads run it.
 //!
 //! Soundness: a shard is a contiguous slice of one topological order of
 //! the master, extracted over the full register. Every driver move
@@ -111,6 +112,7 @@ impl Guoq {
         circuit: &Circuit,
         cost: &'a dyn CostFn,
         workers: usize,
+        threads: usize,
         slice_iterations: u64,
         mut obs: Option<&'a mut EventSink<'a>>,
     ) -> GuoqResult {
@@ -118,6 +120,7 @@ impl Guoq {
         let started = Instant::now();
         let popts = ParallelOpts {
             workers: workers.max(1),
+            threads: Some(threads),
             oversubscribe: SHARDS_PER_WORKER,
             slice_iterations: slice_iterations.max(1),
             min_shard_len: MIN_SHARD_LEN,
@@ -262,6 +265,7 @@ mod tests {
             budget: Budget::Iterations(6000),
             engine: crate::Engine::Sharded {
                 workers: 2,
+                threads: 2,
                 slice_iterations: 256,
             },
             seed: 11,
@@ -282,6 +286,7 @@ mod tests {
             budget: Budget::Iterations(2000),
             engine: crate::Engine::Sharded {
                 workers: 3,
+                threads: 3,
                 slice_iterations: 128,
             },
             seed: 5,
@@ -301,6 +306,7 @@ mod tests {
             budget: Budget::Iterations(3000),
             engine: crate::Engine::Sharded {
                 workers: 2,
+                threads: 2,
                 slice_iterations: 128,
             },
             seed: 23,

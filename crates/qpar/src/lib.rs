@@ -20,8 +20,8 @@
 //!    circuit per shard over the full register. Shard tasks (circuit +
 //!    iteration slice + ε allowance + deterministic per-task seed) go
 //!    into a shared MPMC queue.
-//! 2. **Optimize.** A fixed pool of workers pulls tasks from the queue.
-//!    Each worker owns a [`ShardOptimizer`] (in this workspace: a
+//! 2. **Optimize.** A fixed pool of threads pulls tasks from the queue.
+//!    Each thread owns a [`ShardOptimizer`] (in this workspace: a
 //!    `guoq` `ShardDriver` running Algorithm 1 over the shard) and
 //!    returns the optimized shard. Because shards are disjoint slices of
 //!    one topological order, per-shard semantics preservation composes
@@ -35,24 +35,35 @@
 //!    boundaries).
 //!
 //! **Work stealing** falls out of the shared queue: the plan is
-//! oversubscribed (more shards than workers), so a worker that
+//! oversubscribed (more shards than workers), so a thread that
 //! finishes early simply pulls the next pending shard — a stalled or
 //! slow shard never idles the pool. Each shard also carries a nominal
-//! *home* worker (`index % workers`); per-worker [`WorkerStats`]
+//! *home* worker (`index % workers`); per-thread [`WorkerStats`]
 //! count pickups outside that static assignment (`cross_home`), which
 //! measures how much the dynamic queue deviated from round-robin —
 //! not corrective steals in the per-worker-deque sense, since the
 //! shared FIFO has no affinity to deviate *from*.
 //!
+//! # Workers and threads
+//!
+//! [`ParallelOpts::workers`] fixes the *plan*: the shard count, each
+//! task's seed and each task's home. [`ParallelOpts::threads`] fixes
+//! only how many pool threads run that plan, from one up to
+//! `workers`, so a caller granted fewer threads than it planned for
+//! (a server with fewer free slots than the job's width) runs the same
+//! search, just more slowly. The queues are sized from the plan, so a
+//! pool smaller than the plan never blocks the coordinator.
+//!
 //! # Determinism
 //!
 //! Task seeds are a pure function of (base seed, epoch, shard index),
-//! so a shard's outcome does not depend on *which* worker ran it or on
-//! thread timing: under an iteration budget, the committed master is a
-//! pure function of the input and [`ParallelOpts`]. (The shard count
-//! scales with the worker count, so different worker counts explore
-//! different partitions; *runs with the same options* are bit-for-bit
-//! reproducible, and only the scheduling statistics are racy.)
+//! so a shard's outcome does not depend on *which* thread ran it or on
+//! thread timing, and results are committed in shard-index order:
+//! under an iteration budget, the committed master is a pure function
+//! of the input and [`ParallelOpts`] apart from `threads`, which
+//! changes only the scheduling statistics. (The shard count scales
+//! with the worker count, so different worker counts explore different
+//! partitions.)
 
 #![warn(missing_docs)]
 
@@ -148,8 +159,13 @@ pub trait ShardOptimizer {
 /// Tuning knobs for [`optimize_sharded`].
 #[derive(Debug, Clone)]
 pub struct ParallelOpts {
-    /// Worker threads (clamped to ≥ 1).
+    /// Planned workers (clamped to ≥ 1): sizes the shard plan and the
+    /// queues, and gives each task its home (`index % workers`).
     pub workers: usize,
+    /// Pool threads that run the plan, clamped to `1..=workers`; `None`
+    /// runs one thread per worker. Under an iteration budget the
+    /// committed master does not depend on this (see the crate docs).
+    pub threads: Option<usize>,
     /// Shards per worker per epoch (> 1 oversubscribes the queue so a
     /// fast worker picks up a slow worker's pending shards).
     pub oversubscribe: usize,
@@ -179,6 +195,7 @@ impl Default for ParallelOpts {
     fn default() -> Self {
         ParallelOpts {
             workers: 4,
+            threads: None,
             oversubscribe: 2,
             slice_iterations: 4096,
             min_shard_len: 32,
@@ -191,22 +208,24 @@ impl Default for ParallelOpts {
     }
 }
 
-/// Scheduling and throughput counters for one pool worker.
+/// Scheduling and throughput counters for one pool thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStats {
-    /// Worker index within the pool.
+    /// Thread index within the pool.
     pub worker: usize,
-    /// Shard tasks this worker processed.
+    /// Shard tasks this thread processed.
     pub shards_run: u64,
     /// Tasks processed whose round-robin home was another worker —
     /// how far dynamic scheduling deviated from static assignment
-    /// (compare `shards_run` across workers for actual imbalance).
+    /// (compare `shards_run` across threads for actual imbalance). A
+    /// pool with fewer threads than workers runs every task homed on a
+    /// missing thread as cross-home.
     pub cross_home: u64,
-    /// Total iterations across this worker's tasks.
+    /// Total iterations across this thread's tasks.
     pub iterations: u64,
-    /// Total accepted moves across this worker's tasks.
+    /// Total accepted moves across this thread's tasks.
     pub accepted: u64,
-    /// Total resynthesis hits across this worker's tasks.
+    /// Total resynthesis hits across this thread's tasks.
     pub resynth_hits: u64,
 }
 
@@ -225,7 +244,7 @@ pub struct ParallelOutcome {
     pub resynth_hits: u64,
     /// Accumulated approximation error (≤ `eps_total`).
     pub epsilon: f64,
-    /// Per-worker scheduling statistics.
+    /// Per-thread scheduling statistics, one entry per pool thread.
     pub worker_stats: Vec<WorkerStats>,
     /// Merge of every shard outcome's [`qtrace::Profile`] — the run's
     /// total busy-time split and per-family tallies across all workers.
@@ -276,8 +295,8 @@ fn task_seed(base: u64, epoch: u64, shard: u64) -> u64 {
 }
 
 /// Runs the shard / commit / rotate protocol on `circuit` with a pool
-/// of `opts.workers` threads, each owning the [`ShardOptimizer`] built
-/// by `make_worker(worker_index)`.
+/// of `opts.threads` threads (one per planned worker by default), each
+/// owning the [`ShardOptimizer`] built by `make_worker(thread_index)`.
 ///
 /// `on_commit` observes every committed master (for best-so-far
 /// tracking and cost trajectories); commits are monotone improvements
@@ -309,13 +328,16 @@ where
         "optimize_sharded needs a deadline or an iteration cap; an unbudgeted anytime search never returns"
     );
     let workers = opts.workers.max(1);
+    let threads = opts.threads.unwrap_or(workers).clamp(1, workers);
+    // Sized from the plan, not the pool: an epoch's tasks and outcomes
+    // all fit, so however few threads run them, neither side blocks.
     let queue_cap = (workers * opts.oversubscribe.max(1)).max(4);
     let (task_tx, task_rx) = bounded::<ShardTask>(queue_cap);
     let (res_tx, res_rx) = bounded::<(usize, ShardOutcome)>(queue_cap);
 
     std::thread::scope(|scope| {
         let make_worker = &make_worker;
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let task_rx = task_rx.clone();
                 let res_tx = res_tx.clone();
@@ -582,6 +604,88 @@ mod tests {
         // the fully-cancellable workload.
         for workers in [1, 2, 4] {
             assert!(run(workers).is_empty());
+        }
+    }
+
+    /// [`PairCanceller`] that skips every third task and charges a
+    /// seed-derived share of its ε allowance, after a seed-derived
+    /// delay, so a pool of several threads returns outcomes out of
+    /// shard order.
+    struct SeededCanceller;
+
+    impl ShardOptimizer for SeededCanceller {
+        fn optimize_shard(&mut self, task: ShardTask) -> ShardOutcome {
+            std::thread::sleep(std::time::Duration::from_micros(task.seed % 400));
+            let (seed, allowance) = (task.seed, task.eps_allowance);
+            let mut out = if seed % 3 == 0 {
+                ShardOutcome {
+                    iterations: task.slice_iterations.min(task.circuit.len() as u64),
+                    circuit: task.circuit,
+                    accepted: 0,
+                    resynth_hits: 0,
+                    epsilon: 0.0,
+                    profile: qtrace::Profile::default(),
+                }
+            } else {
+                PairCanceller.optimize_shard(task)
+            };
+            out.epsilon = allowance * (seed % 7) as f64 / 7.0;
+            out
+        }
+    }
+
+    #[test]
+    fn every_pool_size_commits_the_same_masters() {
+        // Pairs that cancel, between gates that never do, so every
+        // epoch has work left.
+        let mut c = Circuit::new(4);
+        for i in 0..48 {
+            let a = (i % 3) as Qubit;
+            c.push(Gate::Cx, &[a, a + 1]);
+            c.push(Gate::Cx, &[a, a + 1]);
+            c.push(Gate::H, &[(i % 4) as Qubit]);
+        }
+        let run = |threads: usize| {
+            let opts = ParallelOpts {
+                workers: 4,
+                threads: Some(threads),
+                oversubscribe: 2,
+                slice_iterations: 8,
+                min_shard_len: 4,
+                eps_total: 1e-6,
+                max_iterations: Some(400),
+                ..Default::default()
+            };
+            let mut commits = Vec::new();
+            let out = optimize_sharded(
+                &c,
+                &opts,
+                |_| SeededCanceller,
+                |info| {
+                    commits.push((
+                        info.circuit.clone(),
+                        info.iterations,
+                        info.epsilon.to_bits(),
+                    ))
+                },
+            );
+            assert_eq!(out.worker_stats.len(), threads, "one entry per thread");
+            let cross: u64 = out.worker_stats.iter().map(|s| s.cross_home).sum();
+            (
+                (commits, out.circuit, out.iterations, out.epsilon.to_bits()),
+                cross,
+            )
+        };
+        let (full, _) = run(4);
+        assert!(full.0.len() > 2, "several epochs commit");
+        assert!(f64::from_bits(full.3) > 0.0, "ε is charged");
+        for threads in 1..4 {
+            let (got, cross) = run(threads);
+            assert_eq!(got, full, "{threads} threads");
+            if threads == 1 {
+                // Tasks homed on workers 1–3 all run on thread 0.
+                assert!(cross > 0);
+            }
         }
     }
 

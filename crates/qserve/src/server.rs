@@ -3,13 +3,21 @@
 //! A [`Server`] multiplexes many concurrent jobs onto a bounded
 //! **worker budget** (a count of concurrent search threads, the
 //! service's scarce resource). A serial job occupies one slot; a
-//! `sharded:N` job occupies `N` (its `qpar` pool runs `N` worker
-//! threads). Admission is strict FIFO — the queue head waits until
-//! enough slots are free, and no *live* job overtakes it (no
-//! starvation; deterministic admission order). The one exception is
-//! already-cancelled queued jobs: they are swept out of the queue
-//! immediately, without waiting for slots they will never use, so a
-//! cancelled wide job cannot block the jobs behind it.
+//! `sharded:N` job asks for `N`. Admission is FIFO and
+//! work-conserving: whenever at least one slot is free, the queue head
+//! starts, granted `min(N, free)` slots, and no *live* job overtakes it
+//! (no starvation; deterministic admission order). A `sharded:N` job
+//! granted fewer than `N` slots runs its unchanged `N`-worker shard
+//! plan on that many `qpar` pool threads, so an iteration-budgeted job
+//! on a server without the shared cache serves the circuit the full
+//! grant would (see [`guoq::Engine::Sharded`]);
+//! `qserve_partial_grants_total` counts such starts. The grant is fixed for the job's life and does not grow
+//! when slots free up: under a steady stream the next narrow job
+//! arrives within milliseconds of a `DONE`, and a wide job that grew
+//! into those slots would bring back the head-of-line wait this rule
+//! removes. A job wider than the whole budget is still refused at
+//! submission. Already-cancelled queued jobs are swept out of the
+//! queue at once, wherever they sit, without waiting for a slot.
 //!
 //! Job ids are scoped **per connection** ([`Server::handle`] opens a
 //! scope): independent clients neither collide on ids nor can cancel
@@ -67,8 +75,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServeOpts {
     /// Total concurrent search threads across all running jobs. A
-    /// serial job costs 1 slot, a `sharded:N` job costs `N`; a job
-    /// wider than the whole budget is rejected at submission.
+    /// serial job costs 1 slot, a `sharded:N` job up to `N` (admission
+    /// grants `min(N, free)`, see the module docs); a job wider than
+    /// the whole budget is rejected at submission.
     pub worker_budget: usize,
     /// Maximum queued (admitted but not yet running) jobs; submissions
     /// beyond this are rejected with an `ERROR` frame (backpressure).
@@ -165,6 +174,8 @@ struct QueuedJob {
     conn: u64,
     req: JobRequest,
     circuit: Circuit,
+    /// Slots the job asks for: 1 for a serial job, `N` for
+    /// `sharded:N`. Admission may grant fewer (see the module docs).
     width: usize,
     cancel: CancelToken,
     reply: Sender<Frame>,
@@ -878,38 +889,40 @@ impl ServerHandle {
     }
 }
 
-/// Strict-FIFO admission: pop the queue head once its width fits the
-/// free slots, spawn its thread, repeat. Returns when draining and
-/// everything has finished.
+/// Work-conserving FIFO admission: once a slot is free, pop the queue
+/// head, grant it `min(width, free)` slots, spawn its thread, repeat.
+/// Returns when draining and everything has finished.
 fn scheduler_loop(shared: Arc<Shared>) {
     let mut jobs: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let to_spawn = {
             let mut st = shared.state.lock().expect("server state poisoned");
-            let mut to_spawn: Vec<QueuedJob> = Vec::new();
+            // Each job with the slots granted to it.
+            let mut to_spawn: Vec<(QueuedJob, usize)> = Vec::new();
             loop {
                 // Sweep cancelled queued jobs first, wherever they sit:
                 // they need no slots (run_job returns immediately on a
-                // raised token), and a cancelled wide job at the head
-                // must not block narrower ready jobs behind it — nor
-                // have its terminal DONE withheld until slots free up.
+                // raised token), and must not have their terminal DONE
+                // withheld until a slot frees up.
                 let mut i = 0;
                 while i < st.queue.len() {
                     if st.queue[i].cancel.is_cancelled() {
-                        let mut job = st.queue.remove(i).expect("indexed entry");
-                        job.width = 0; // slots were never debited
+                        let job = st.queue.remove(i).expect("indexed entry");
                         st.running += 1;
-                        to_spawn.push(job);
+                        to_spawn.push((job, 0)); // slots are never debited
                     } else {
                         i += 1;
                     }
                 }
-                if let Some(front) = st.queue.front() {
-                    if front.width <= st.slots_free {
-                        let job = st.queue.pop_front().expect("queue head vanished");
-                        st.slots_free -= job.width;
+                if st.slots_free > 0 {
+                    if let Some(job) = st.queue.pop_front() {
+                        let grant = job.width.min(st.slots_free);
+                        if grant < job.width {
+                            qtrace::counter("qserve_partial_grants_total").inc();
+                        }
+                        st.slots_free -= grant;
                         st.running += 1;
-                        to_spawn.push(job);
+                        to_spawn.push((job, grant));
                     }
                 }
                 if !to_spawn.is_empty() {
@@ -937,9 +950,9 @@ fn scheduler_loop(shared: Arc<Shared>) {
                 eprintln!("qserve: a job thread panicked (slots were reclaimed)");
             }
         }
-        for job in to_spawn {
+        for (job, grant) in to_spawn {
             let shared2 = Arc::clone(&shared);
-            jobs.push(std::thread::spawn(move || run_job(job, shared2)));
+            jobs.push(std::thread::spawn(move || run_job(job, grant, shared2)));
         }
     }
 }
@@ -1164,7 +1177,9 @@ struct SlotGuard {
     shared: Arc<Shared>,
     conn: u64,
     id: u64,
-    width: usize,
+    /// The slots admission granted, which may be fewer than the job's
+    /// width (0 for a job swept out of the queue cancelled).
+    grant: usize,
     cancel: CancelToken,
 }
 
@@ -1172,7 +1187,7 @@ impl Drop for SlotGuard {
     fn drop(&mut self) {
         self.cancel.cancel();
         let mut st = self.shared.state.lock().expect("server state poisoned");
-        st.slots_free += self.width;
+        st.slots_free += self.grant;
         st.running -= 1;
         st.tokens.remove(&(self.conn, self.id));
         drop(st);
@@ -1322,13 +1337,14 @@ impl ImprovementStream {
     }
 }
 
-/// One job, start to DONE, on its own thread.
-fn run_job(job: QueuedJob, shared: Arc<Shared>) {
+/// One job, start to DONE, on its own thread, with the `grant` slots
+/// admission debited for it.
+fn run_job(job: QueuedJob, grant: usize, shared: Arc<Shared>) {
     let QueuedJob {
         conn,
         req,
         circuit,
-        width,
+        width: _,
         cancel,
         reply,
         proto,
@@ -1344,7 +1360,7 @@ fn run_job(job: QueuedJob, shared: Arc<Shared>) {
         shared: Arc::clone(&shared),
         conn,
         id: req.id,
-        width,
+        grant,
         cancel: cancel.clone(),
     };
     let opts = &shared.opts;
@@ -1380,7 +1396,12 @@ fn run_job(job: QueuedJob, shared: Arc<Shared>) {
         // refuses `cert=1` on the sharded engine.
         EngineSel::Serial if req.certify => Engine::Certifying { prior: cert_prior },
         EngineSel::Serial => Engine::Serial,
-        EngineSel::Sharded(w) => Engine::sharded(w),
+        // The plan stays `workers` wide; it runs on the granted slots.
+        EngineSel::Sharded(workers) => Engine::Sharded {
+            workers,
+            threads: grant,
+            slice_iterations: guoq::DEFAULT_SLICE_ITERATIONS,
+        },
     };
     let mut gopts = GuoqOpts {
         budget,

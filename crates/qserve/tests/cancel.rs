@@ -153,8 +153,10 @@ fn cancelling_a_queued_job_terminates_it_cleanly() {
     server.shutdown();
 }
 
-/// A cancelled *wide* job at the queue head must not block a narrower
-/// ready job behind it (head-of-line regression for the sweep).
+/// A cancelled *wide* job queued behind a full pool gets its DONE at
+/// once, without waiting for slots it will never use, and the job
+/// behind it still runs once slots free up. (A head that finds a free
+/// slot starts at once on it: `tests/admission.rs`.)
 #[test]
 fn cancelled_wide_job_does_not_block_the_queue() {
     let big = workload(400);
@@ -166,51 +168,47 @@ fn cancelled_wide_job_does_not_block_the_queue() {
     let handle = server.handle();
     let (tx, rx) = bounded(4096);
 
-    // Width-1 job holds one slot indefinitely…
+    // A width-2 job holds both slots indefinitely…
     submit_and_wait_running(
         &handle,
-        request(1, EngineSel::Serial, u64::MAX / 2, 1, &big),
+        request(1, EngineSel::Sharded(2), u64::MAX / 2, 1, &big),
         &tx,
         &rx,
     );
-    // …a width-2 job queues (2 > 1 free slot) and is cancelled…
-    handle.handle_frame(
-        Frame::Submit(request(2, EngineSel::Sharded(2), u64::MAX / 2, 2, &big)),
-        &tx,
-    );
-    loop {
-        if let Frame::Accepted { id: 2, .. } = recv(&rx) {
-            break;
-        }
-    }
-    assert!(handle.cancel(2));
-    // …and a width-1 job behind the dead head must still complete
-    // while job 1 keeps running.
-    handle.handle_frame(
-        Frame::Submit(request(3, EngineSel::Serial, 600, 3, &small)),
-        &tx,
-    );
-    let mut done2 = false;
-    let mut done3 = false;
-    while !(done2 && done3) {
-        if let Frame::Done(s) = recv(&rx) {
-            match s.id {
-                2 => {
-                    assert!(s.cancelled);
-                    assert_eq!(s.iterations, 0);
-                    done2 = true;
-                }
-                3 => {
-                    assert!(!s.cancelled, "job 3 must run despite the dead head");
-                    done3 = true;
-                }
-                1 => panic!("job 1 must still be running"),
-                _ => unreachable!(),
+    // …a second width-2 job queues (no slot is free), then a width-1
+    // job queues behind it…
+    for (id, engine, iters, circuit) in [
+        (2, EngineSel::Sharded(2), u64::MAX / 2, &big),
+        (3, EngineSel::Serial, 600, &small),
+    ] {
+        handle.handle_frame(Frame::Submit(request(id, engine, iters, id, circuit)), &tx);
+        loop {
+            if let Frame::Accepted { id: got, .. } = recv(&rx) {
+                assert_eq!(got, id);
+                break;
             }
         }
     }
+    // …and the cancelled head finishes while job 1 keeps running.
+    assert!(handle.cancel(2));
+    loop {
+        if let Frame::Done(s) = recv(&rx) {
+            assert_eq!(s.id, 2, "only the cancelled head may finish");
+            assert!(s.cancelled);
+            assert_eq!(s.iterations, 0, "a queued job must not run");
+            break;
+        }
+    }
+    // Once job 1 gives its slots back, job 3 runs to completion.
     assert!(handle.cancel(1));
-    wait_done(&rx, 1);
+    assert!(wait_done(&rx, 1).cancelled);
+    let s3 = wait_done(&rx, 3);
+    assert!(!s3.cancelled, "job 3 must run after the dead head");
+    assert!(circuits_equivalent(
+        &small,
+        &qasm::from_qasm(&s3.qasm).unwrap(),
+        1e-4
+    ));
     server.shutdown();
 }
 

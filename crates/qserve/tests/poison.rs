@@ -1,8 +1,9 @@
 //! One process survives its input: QASM payloads and an `EDIT` delta
-//! that reach the decoders' known crash sites get a typed
-//! `ERROR code=bad-request` for their own job id, no `ACCEPTED`, and
-//! the session keeps serving — the job submitted before them and one
-//! submitted after every bad frame both reach `DONE`.
+//! that reach the decoders' known crash sites, and QASM the reader
+//! cannot keep whole, get a typed `ERROR code=bad-request` for their
+//! own job id, no `ACCEPTED`, and the session keeps serving — the job
+//! submitted before them and one submitted after every bad frame both
+//! reach `DONE`.
 
 mod util;
 
@@ -14,6 +15,9 @@ use util::{recv, request, wait_done, workload};
 /// SUBMIT payloads that reach each known crash site of the QASM
 /// reader: a backwards `qreg` slice, a repeated operand, a width that
 /// exhausts memory, and two argument nestings that overflow the stack.
+/// Then three it once misread: a `measure` between two H gates (read
+/// without it, the job was served as an empty circuit), a `barrier`,
+/// and an operand on an undeclared register.
 fn poison_payloads() -> Vec<String> {
     let doc = |body: &str| format!("OPENQASM 2.0; include \"qelib1.inc\"; {body}");
     vec![
@@ -26,7 +30,15 @@ fn poison_payloads() -> Vec<String> {
             ")".repeat(200_000)
         )),
         doc(&format!("qreg q[1]; rz({}1) q[0];", "-".repeat(400_000))),
+        doc("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0]; h q[0];"),
+        doc("qreg q[2]; h q[0]; barrier q[0], q[1]; h q[0];"),
+        doc("qreg q[2]; h r[0];"),
     ]
+}
+
+/// The id after the last poison SUBMIT.
+fn last_poison_id() -> u64 {
+    1 + poison_payloads().len() as u64
 }
 
 fn server(journal_dir: Option<std::path::PathBuf>) -> Server {
@@ -64,7 +76,7 @@ fn assert_rejected(by_id: &HashMap<u64, Vec<Frame>>, ids: std::ops::RangeInclusi
 }
 
 /// The stdio path byte for byte: one stream carries a valid job, the
-/// five poison SUBMITs and a second valid job.
+/// poison SUBMITs and a second valid job.
 #[test]
 fn poison_submits_get_typed_errors_and_the_stream_keeps_serving() {
     let input = workload(60);
@@ -75,7 +87,8 @@ fn poison_submits_get_typed_errors_and_the_stream_keeps_serving() {
         req.qasm = qasm;
         lines += &Frame::Submit(req).encode();
     }
-    lines += &Frame::Submit(request(7, EngineSel::Serial, 400, 8, &input)).encode();
+    let after = last_poison_id() + 1;
+    lines += &Frame::Submit(request(after, EngineSel::Serial, 400, 8, &input)).encode();
 
     let server = server(None);
     let out = pump_stream(lines.as_bytes(), Vec::new(), &server).expect("stream");
@@ -86,8 +99,8 @@ fn poison_submits_get_typed_errors_and_the_stream_keeps_serving() {
         let frame = Frame::parse(line).expect("server frames parse");
         by_id.entry(frame_id(&frame)).or_default().push(frame);
     }
-    assert_rejected(&by_id, 2..=6);
-    for id in [1, 7] {
+    assert_rejected(&by_id, 2..=last_poison_id());
+    for id in [1, after] {
         let frames = &by_id[&id];
         assert!(matches!(frames.first(), Some(Frame::Accepted { .. })));
         match frames.last() {
@@ -138,7 +151,7 @@ fn journaled_session_survives_poison_submits_and_a_bad_edit() {
         handle.handle_frame(Frame::Submit(req), &tx);
     }
     let by_id = drain_until_done(&rx, 1);
-    assert_rejected(&by_id, 2..=6);
+    assert_rejected(&by_id, 2..=last_poison_id());
 
     handle.handle_frame(
         Frame::Edit {
@@ -155,11 +168,12 @@ fn journaled_session_survives_poison_submits_and_a_bad_edit() {
         other => panic!("expected ERROR for the bad EDIT, got {other:?}"),
     }
 
+    let after = last_poison_id() + 1;
     handle.handle_frame(
-        Frame::Submit(request(7, EngineSel::Serial, 400, 8, &input)),
+        Frame::Submit(request(after, EngineSel::Serial, 400, 8, &input)),
         &tx,
     );
-    assert!(!wait_done(&rx, 7).cancelled);
+    assert!(!wait_done(&rx, after).cancelled);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

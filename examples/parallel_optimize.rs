@@ -72,6 +72,7 @@ fn main() {
         // under a short budget (resynthesis makes iterations slow).
         engine: Engine::Sharded {
             workers,
+            threads: workers,
             slice_iterations: 512,
         },
         ..Default::default()

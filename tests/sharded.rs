@@ -4,6 +4,8 @@
 //! * `Engine::Sharded` with 1..=4 workers must produce a circuit
 //!   unitarily equivalent to its input (the same check as
 //!   `tests/end_to_end.rs`) and never a worse final cost.
+//! * A plan run on fewer pool threads than workers (a server's partial
+//!   grant) must return exactly what the full pool returns.
 //! * Lifting shard-local patches into parent coordinates
 //!   ([`qcir::ShardSpec::lift`]) must compose to exactly the circuit
 //!   obtained by patching each extracted shard and reassembling.
@@ -54,6 +56,7 @@ fn sharded_engine_preserves_semantics_across_worker_counts() {
             seed: 31,
             engine: Engine::Sharded {
                 workers,
+                threads: workers,
                 slice_iterations: 512,
             },
             ..Default::default()
@@ -83,6 +86,7 @@ fn sharded_engine_zero_eps_budget_is_exact() {
         seed: 9,
         engine: Engine::Sharded {
             workers: 3,
+            threads: 3,
             slice_iterations: 256,
         },
         ..Default::default()
@@ -92,6 +96,41 @@ fn sharded_engine_zero_eps_budget_is_exact() {
     assert_eq!(r.epsilon, 0.0);
     assert!(r.cost <= TwoQubitCount.cost(&c));
     assert!(circuits_equivalent(&c, &r.circuit, 1e-7));
+}
+
+/// A server that has one free slot starts a `sharded:2` job on one
+/// thread. The plan, the task seeds and the commit order are the two
+/// workers' either way, so with resynthesis on and no shared cache the
+/// one-thread run must equal the two-thread run bit for bit.
+#[test]
+fn one_thread_grant_returns_the_full_grant_result() {
+    let c = workload(240);
+    let run = |threads| {
+        let opts = GuoqOpts {
+            budget: Budget::Iterations(3000),
+            eps_total: 1e-6,
+            resynth_probability: 0.2,
+            seed: 17,
+            engine: Engine::Sharded {
+                workers: 2,
+                threads,
+                slice_iterations: 128,
+            },
+            ..Default::default()
+        };
+        Guoq::for_gate_set(qcir::GateSet::Nam, opts).optimize(&c, &GateCount)
+    };
+    let full = run(2);
+    let one = run(1);
+    assert!(full.resynth_hits > 0, "resynthesis must run");
+    assert_eq!(one.worker_stats.len(), 1);
+    assert_eq!(full.worker_stats.len(), 2);
+    assert_eq!(one.circuit, full.circuit);
+    assert_eq!(one.cost, full.cost);
+    assert_eq!(one.iterations, full.iterations);
+    assert_eq!(one.accepted, full.accepted);
+    assert_eq!(one.resynth_hits, full.resynth_hits);
+    assert_eq!(one.epsilon.to_bits(), full.epsilon.to_bits());
 }
 
 /// Builds an arbitrary (index-structural) patch against `shard`:
@@ -206,6 +245,7 @@ proptest! {
             seed,
             engine: Engine::Sharded {
                 workers,
+                threads: workers,
                 slice_iterations: 64,
             },
             ..Default::default()

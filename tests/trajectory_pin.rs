@@ -79,6 +79,7 @@ fn certifying_engine_is_pinned() {
 fn sharded_engine_with_two_workers_is_pinned() {
     let engine = Engine::Sharded {
         workers: 2,
+        threads: 2,
         slice_iterations: 256,
     };
     let (r, hash) = run(
